@@ -4,9 +4,9 @@
 # the shared plan cache / planner, the serving runtime's queueing machinery,
 # the obs telemetry layer (metric registry + trace ring hammered from many
 # threads, and the end-to-end runtime timeline that records from dispatcher
-# and worker threads), and the fiber scheduler (built on ucontext in this
-# preset so TSan can see the context switches; the hand-rolled asm switch is
-# invisible to it). The ASan+UBSan sibling is scripts/tier2_asan.sh.
+# and worker threads), and the launch engine, whose host workers run blocks
+# in parallel with per-worker lane storage. The ASan+UBSan sibling is
+# scripts/tier2_asan.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +18,8 @@ cmake --build --preset tsan -j "$(nproc)" --target regla_tests
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 
 # RuntimeQueue.* drive the runtime through the solve_override hook (pure
-# queueing, no kernels); RuntimeSolve.* add real fiber-backed launches;
+# queueing, no kernels); RuntimeSolve.* add real kernel launches; Engine*
+# and KernelGolden* run every kernel family on the host worker pool;
 # RuntimeFault*/EngineFault* exercise the fault-injection and resilience
 # paths (retry/backoff, deadline failure, shedding, CPU fallback — all of
 # which cross threads); Obs* cover the metric registry, the trace ring, and
@@ -30,6 +31,6 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 # `timeout` backstops the raw gtest run: ctest's per-test TIMEOUT does not
 # apply here, and a sanitizer-found deadlock must fail, not hang the gate.
 timeout 1800 ./build-tsan/tests/regla_tests \
-  --gtest_filter='ThreadPool*:PlanCache*:RuntimeQueue*:RuntimeSolve*:RuntimeFault*:EngineFault*:TimerWheel*:Fiber*:Obs*:OpsRegistry*:OpsZoo*:Fleet*:ReplayVerify*:Arena*:RuntimeArena*:RuntimeRagged*'
+  --gtest_filter='ThreadPool*:PlanCache*:RuntimeQueue*:RuntimeSolve*:RuntimeFault*:Engine*:KernelGolden*:TimerWheel*:Obs*:OpsRegistry*:OpsZoo*:Fleet*:ReplayVerify*:Arena*:RuntimeArena*:RuntimeRagged*'
 
 echo "tier2 tsan: clean"

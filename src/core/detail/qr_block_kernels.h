@@ -13,6 +13,7 @@
 //   5. rank-1 trailing update                                    [rank1]
 #pragma once
 
+#include "core/detail/lane_tiles.h"
 #include "core/detail/scalar_ops.h"
 #include "core/layout.h"
 #include "simt/simt.h"
@@ -100,8 +101,8 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
   const int m = arg.m, n = arg.n;
   const bool aug = arg.solve || arg.augment_only;
   const int naug = aug ? n + 1 : n;
-  Grid2D g2(ctx.tid(), ctx.nthreads(), m, naug);
-  const int r = g2.rdim;
+  auto lane = lanes_2d<S>(ctx, m, naug);
+  const int r = lane[0].g2.rdim;
 
   auto ga = ctx.global(arg.a);
   auto gb = arg.b != nullptr ? ctx.global(arg.b) : simt::Global<Store>();
@@ -118,19 +119,21 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
   // ---- load the tile (paper Listing 4, with ragged-edge guards) ----
   ctx.set_panel(-1);
   ctx.tag(OpTag::load);
-  auto A = ctx.reg_tile<S>(g2.hreg, g2.wreg);
-  for (int jj = 0; jj < g2.wreg; ++jj) {
-    const int gj = g2.gcol(jj);
-    for (int ii = 0; ii < g2.hreg; ++ii) {
-      const int gi = g2.grow(ii);
-      if (gi < m && gj < n)
-        A.set(ii, jj, ga.ld(abase + gi + static_cast<std::ptrdiff_t>(gj) * m));
-      else if (gi < m && gj == n && aug)
-        A.set(ii, jj, gb.ld(bbase + gi));
-      else
-        A.set(ii, jj, S(0.0f));
+  ctx.lanes([&](int t) {
+    auto& [g2, A] = lane[t];
+    for (int jj = 0; jj < g2.wreg; ++jj) {
+      const int gj = g2.gcol(jj);
+      for (int ii = 0; ii < g2.hreg; ++ii) {
+        const int gi = g2.grow(ii);
+        if (gi < m && gj < n)
+          A.set(ii, jj, ga.ld(abase + gi + static_cast<std::ptrdiff_t>(gj) * m));
+        else if (gi < m && gj == n && aug)
+          A.set(ii, jj, gb.ld(bbase + gi));
+        else
+          A.set(ii, jj, S(0.0f));
+      }
     }
-  }
+  });
   ctx.sync();
 
   const int ncols = (m > n) ? n : n - 1;
@@ -140,31 +143,36 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
 
     // 1. Local norm partials over rows below the diagonal.
     ctx.tag(OpTag::form_hh);
-    if (g2.tcol == c % r) {
+    ctx.lanes([&](int t) {
+      auto& [g2, A] = lane[t];
+      if (g2.tcol != c % r) return;
       gfloat sigma(0.0f);
       const int jloc = g2.lcol(c);
       for (int ii = g2.lrow_from(c + 1); ii < g2.hreg; ++ii)
         if (g2.grow(ii) < m) sigma = abs2_acc(A.get(ii, jloc), sigma);
       red.st(g2.trow, sigma);
-    }
+    });
     ctx.sync();
 
     // 2. Diagonal thread: serial reduction + reflector head.
-    const bool diag = g2.trow == c % r && g2.tcol == c % r;
-    if (diag) {
+    ctx.lanes([&](int t) {
+      auto& [g2, A] = lane[t];
+      if (g2.trow != c % r || g2.tcol != c % r) return;
       gfloat sigma(0.0f);
-      for (int t = 0; t < r; ++t) sigma = red.ld(t) + sigma;
+      for (int q = 0; q < r; ++q) sigma = red.ld(q) + sigma;
       const S alpha = A.get(g2.lrow(c), g2.lcol(c));
       const auto refl = make_reflector(alpha, sigma);
       store_head(head, refl);
       A.set(g2.lrow(c), g2.lcol(c), to_scalar(refl.beta, alpha, refl.skip));
       v_sh.st(c, S(1.0f));
       tau_sh.st(c, refl.skip ? S(0.0f) : refl.tau);
-    }
+    });
     ctx.sync();
 
     // 3. Scale the column and publish the Householder vector.
-    if (g2.tcol == c % r) {
+    ctx.lanes([&](int t) {
+      auto& [g2, A] = lane[t];
+      if (g2.tcol != c % r) return;
       const S inv = load_head_inv<S>(head);
       const bool skip = load_head_skip(head);
       const int jloc = g2.lcol(c);
@@ -175,46 +183,52 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
         A.set(ii, jloc, v);
         v_sh.st(gi, v);
       }
-    }
+    });
     ctx.sync();
 
     // 4. Matrix-vector multiply: w = tau' * (v^H A_trailing).
     ctx.tag(OpTag::matvec);
-    for (int jj = g2.lcol_from(c + 1); jj < g2.wreg; ++jj) {
-      const int gj = g2.gcol(jj);
-      if (gj >= naug) continue;
-      S acc(0.0f);
-      for (int ii = g2.lrow_from(c); ii < g2.hreg; ++ii) {
-        const int gi = g2.grow(ii);
-        if (gi < m) acc = mac_conj(v_sh.ld(gi), A.get(ii, jj), acc);
+    ctx.lanes([&](int t) {
+      auto& [g2, A] = lane[t];
+      for (int jj = g2.lcol_from(c + 1); jj < g2.wreg; ++jj) {
+        const int gj = g2.gcol(jj);
+        if (gj >= naug) continue;
+        S acc(0.0f);
+        for (int ii = g2.lrow_from(c); ii < g2.hreg; ++ii) {
+          const int gi = g2.grow(ii);
+          if (gi < m) acc = mac_conj(v_sh.ld(gi), A.get(ii, jj), acc);
+        }
+        part.st(gj * r + g2.trow, acc);
       }
-      part.st(gj * r + g2.trow, acc);
-    }
+    });
     ctx.sync();
     // Serial reductions, one trailing column per thread, all columns in
     // parallel (the paper's cost model: one cost_red per column, "we assume
     // that there are at least as many threads as columns").
-    {
+    ctx.lanes([&](int t) {
       const S taup = load_head_skip(head) ? S(0.0f) : load_head_applied_tau<S>(head);
-      for (int gj = c + 1 + ctx.tid(); gj < naug; gj += ctx.nthreads()) {
+      for (int gj = c + 1 + t; gj < naug; gj += ctx.nthreads()) {
         S acc(0.0f);
-        for (int t = 0; t < r; ++t) acc = part.ld(gj * r + t) + acc;
+        for (int q = 0; q < r; ++q) acc = part.ld(gj * r + q) + acc;
         w_sh.st(gj, taup * acc);
       }
-    }
+    });
     ctx.sync();
 
     // 5. Rank-1 trailing update: A -= v w.
     ctx.tag(OpTag::rank1);
-    for (int jj = g2.lcol_from(c + 1); jj < g2.wreg; ++jj) {
-      const int gj = g2.gcol(jj);
-      if (gj >= naug) continue;
-      const S wj = w_sh.ld(gj);
-      for (int ii = g2.lrow_from(c); ii < g2.hreg; ++ii) {
-        const int gi = g2.grow(ii);
-        if (gi < m) A.sub(ii, jj, v_sh.ld(gi) * wj);
+    ctx.lanes([&](int t) {
+      auto& [g2, A] = lane[t];
+      for (int jj = g2.lcol_from(c + 1); jj < g2.wreg; ++jj) {
+        const int gj = g2.gcol(jj);
+        if (gj >= naug) continue;
+        const S wj = w_sh.ld(gj);
+        for (int ii = g2.lrow_from(c); ii < g2.hreg; ++ii) {
+          const int gi = g2.grow(ii);
+          if (gi < m) A.sub(ii, jj, v_sh.ld(gi) * wj);
+        }
       }
-    }
+    });
     ctx.sync();
   }
 
@@ -224,31 +238,37 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
     ctx.tag(OpTag::other);
     for (int c = n - 1; c >= 0; --c) {
       // Publish R(0:c, c) and R(c,c).
-      if (g2.tcol == c % r) {
+      ctx.lanes([&](int t) {
+        auto& [g2, A] = lane[t];
+        if (g2.tcol != c % r) return;
         const int jloc = g2.lcol(c);
         for (int ii = 0; ii < g2.hreg; ++ii) {
           const int gi = g2.grow(ii);
           if (gi <= c) v_sh.st(gi, A.get(ii, jloc));
         }
-      }
+      });
       ctx.sync();
       // The thread owning y_c computes x_c.
-      if (g2.owns(c, n)) {
+      ctx.lanes([&](int t) {
+        auto& [g2, A] = lane[t];
+        if (!g2.owns(c, n)) return;
         const S rcc = v_sh.ld(c);
         const S x = div_scalar(A.get(g2.lrow(c), g2.lcol(n)), rcc);
         A.set(g2.lrow(c), g2.lcol(n), x);
         w_sh.st(c, x);
-      }
+      });
       ctx.sync();
       // Eliminate x_c from the rows above.
-      if (g2.tcol == n % r) {
+      ctx.lanes([&](int t) {
+        auto& [g2, A] = lane[t];
+        if (g2.tcol != n % r) return;
         const S x = w_sh.ld(c);
         const int jloc = g2.lcol(n);
         for (int ii = 0; ii < g2.hreg; ++ii) {
           const int gi = g2.grow(ii);
           if (gi < c) A.sub(ii, jloc, v_sh.ld(gi) * x);
         }
-      }
+      });
       ctx.sync();
     }
   }
@@ -256,22 +276,25 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
   // ---- store ----
   ctx.set_panel(-1);
   ctx.tag(OpTag::store);
-  for (int jj = 0; jj < g2.wreg; ++jj) {
-    const int gj = g2.gcol(jj);
-    for (int ii = 0; ii < g2.hreg; ++ii) {
-      const int gi = g2.grow(ii);
-      if (gi < m && gj < n)
-        ga.st(abase + gi + static_cast<std::ptrdiff_t>(gj) * m, A.get(ii, jj));
-      else if (gi < m && gj == n && aug)
-        gb.st(bbase + gi, A.get(ii, jj));
+  ctx.lanes([&](int t) {
+    auto& [g2, A] = lane[t];
+    for (int jj = 0; jj < g2.wreg; ++jj) {
+      const int gj = g2.gcol(jj);
+      for (int ii = 0; ii < g2.hreg; ++ii) {
+        const int gi = g2.grow(ii);
+        if (gi < m && gj < n)
+          ga.st(abase + gi + static_cast<std::ptrdiff_t>(gj) * m, A.get(ii, jj));
+        else if (gi < m && gj == n && aug)
+          gb.st(bbase + gi, A.get(ii, jj));
+      }
     }
-  }
-  if (arg.taus != nullptr && ctx.tid() == 0) {
-    auto gt = ctx.global(arg.taus);
-    for (int c = 0; c < n; ++c)
-      gt.st(static_cast<std::ptrdiff_t>(k) * n + c,
-            c < ncols ? tau_sh.ld(c) : S(0.0f));
-  }
+    if (arg.taus != nullptr && t == 0) {
+      auto gt = ctx.global(arg.taus);
+      for (int c = 0; c < n; ++c)
+        gt.st(static_cast<std::ptrdiff_t>(k) * n + c,
+              c < ncols ? tau_sh.ld(c) : S(0.0f));
+    }
+  });
 }
 
 // --- 1D layouts (real, solve form) for the Fig. 7 comparison ---------------
@@ -298,7 +321,7 @@ struct Qr1DArgs {
 inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
   const int k = ctx.block();
   if (k >= arg.count) return;
-  const int n = arg.n, naug = n + 1, p = ctx.nthreads(), t = ctx.tid();
+  const int n = arg.n, naug = n + 1, p = ctx.nthreads();
   const int rpt = (n + p - 1) / p;  // rows per thread
   constexpr int kChunk = 16;
   constexpr int kGroup = 16;
@@ -314,29 +337,43 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
   auto part = ctx.shared<float>(p * kChunk);
   auto head = ctx.shared<float>(8);
 
+  struct Lane {
+    simt::RegTile<gfloat> A;
+    gfloat taup;  ///< the column's applied tau, read once per column
+  };
+  auto lane = ctx.lane_state<Lane>(
+      [&](int) { return Lane{ctx.reg_tile<gfloat>(rpt, naug), gfloat(0.0f)}; });
+
   ctx.tag(OpTag::load);
-  auto A = ctx.reg_tile<gfloat>(rpt, naug);
-  for (int ii = 0; ii < rpt; ++ii) {
-    const int gi = t + ii * p;
-    if (gi >= n) continue;
-    for (int j = 0; j < n; ++j)
-      A.set(ii, j, ga.ld(abase + gi + static_cast<std::ptrdiff_t>(j) * n));
-    A.set(ii, n, gb.ld(bbase + gi));
-  }
+  ctx.lanes([&](int t) {
+    auto& A = lane[t].A;
+    for (int ii = 0; ii < rpt; ++ii) {
+      const int gi = t + ii * p;
+      if (gi >= n) continue;
+      for (int j = 0; j < n; ++j)
+        A.set(ii, j, ga.ld(abase + gi + static_cast<std::ptrdiff_t>(j) * n));
+      A.set(ii, n, gb.ld(bbase + gi));
+    }
+  });
   ctx.sync();
 
   for (int c = 0; c < n - 1; ++c) {
     // 1. Norm partials across all row-owning threads.
     ctx.tag(OpTag::form_hh);
-    gfloat sigma(0.0f);
-    for (int ii = 0; ii < rpt; ++ii) {
-      const int gi = t + ii * p;
-      if (gi > c && gi < n) sigma = abs2_acc(A.get(ii, c), sigma);
-    }
-    red.st(t, sigma);
+    ctx.lanes([&](int t) {
+      auto& A = lane[t].A;
+      gfloat sigma(0.0f);
+      for (int ii = 0; ii < rpt; ++ii) {
+        const int gi = t + ii * p;
+        if (gi > c && gi < n) sigma = abs2_acc(A.get(ii, c), sigma);
+      }
+      red.st(t, sigma);
+    });
     ctx.sync();
     // 2. The owner of row c reduces serially over all p partials.
-    if (t == c % p) {
+    ctx.lanes([&](int t) {
+      if (t != c % p) return;
+      auto& A = lane[t].A;
       gfloat s(0.0f);
       for (int q = 0; q < p; ++q) s = red.ld(q) + s;
       const int lc = c / p;
@@ -344,10 +381,11 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
       store_head(head, refl);
       A.set(lc, c, to_scalar(refl.beta, A.get(lc, c), refl.skip));
       v_sh.st(c, gfloat(1.0f));
-    }
+    });
     ctx.sync();
     // 3. Scale and publish v.
-    {
+    ctx.lanes([&](int t) {
+      auto& A = lane[t].A;
       const gfloat inv = load_head_inv<gfloat>(head);
       const bool skip = load_head_skip(head);
       for (int ii = 0; ii < rpt; ++ii) {
@@ -358,35 +396,41 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
           v_sh.st(gi, v);
         }
       }
-    }
+    });
     ctx.sync();
     // 4. Matvec over column chunks with a two-stage reduction.
     ctx.tag(OpTag::matvec);
-    const gfloat taup = load_head_skip(head) ? gfloat(0.0f)
-                                             : load_head_applied_tau<gfloat>(head);
     for (int j0 = c + 1; j0 < naug; j0 += kChunk) {
       const int jend = std::min(naug, j0 + kChunk);
-      for (int j = j0; j < jend; ++j) {
-        gfloat acc(0.0f);
-        for (int ii = 0; ii < rpt; ++ii) {
-          const int gi = t + ii * p;
-          if (gi < c || gi >= n) continue;
-          const gfloat vi = (gi == c) ? gfloat(1.0f) : A.get(ii, c);
-          acc = gfma(vi, A.get(ii, j), acc);
+      ctx.lanes([&](int t) {
+        auto& [A, taup] = lane[t];
+        if (j0 == c + 1)
+          taup = load_head_skip(head) ? gfloat(0.0f)
+                                      : load_head_applied_tau<gfloat>(head);
+        for (int j = j0; j < jend; ++j) {
+          gfloat acc(0.0f);
+          for (int ii = 0; ii < rpt; ++ii) {
+            const int gi = t + ii * p;
+            if (gi < c || gi >= n) continue;
+            const gfloat vi = (gi == c) ? gfloat(1.0f) : A.get(ii, c);
+            acc = gfma(vi, A.get(ii, j), acc);
+          }
+          part.st(t * kChunk + (j - j0), acc);
         }
-        part.st(t * kChunk + (j - j0), acc);
-      }
+      });
       ctx.sync();
-      if (t % kGroup == 0) {
+      ctx.lanes([&](int t) {
+        if (t % kGroup != 0) return;
         for (int j = j0; j < jend; ++j) {
           gfloat acc(0.0f);
           for (int q = t; q < std::min(p, t + kGroup); ++q)
             acc = part.ld(q * kChunk + (j - j0)) + acc;
           part.st(t * kChunk + (j - j0), acc);
         }
-      }
+      });
       ctx.sync();
-      if (t == 0) {
+      ctx.lanes([&](int t) {
+        if (t != 0) return;
         for (int j = j0; j < jend; ++j) {
           gfloat acc(0.0f);
           for (int q = 0; q < p; q += kGroup)
@@ -394,18 +438,21 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
           // Stage the final w_j in row 0 of `part`. Slot (j - j0) is group
           // 0's partial for this same j, which was read just above, so the
           // overwrite is safe.
-          part.st(j - j0, taup * acc);
+          part.st(j - j0, lane[t].taup * acc);
         }
-      }
+      });
       ctx.sync();
       // 5. Rank-1 update for this chunk.
       ctx.tag(OpTag::rank1);
-      for (int ii = 0; ii < rpt; ++ii) {
-        const int gi = t + ii * p;
-        if (gi < c || gi >= n) continue;
-        const gfloat vi = (gi == c) ? gfloat(1.0f) : A.get(ii, c);
-        for (int j = j0; j < jend; ++j) A.sub(ii, j, vi * part.ld(j - j0));
-      }
+      ctx.lanes([&](int t) {
+        auto& A = lane[t].A;
+        for (int ii = 0; ii < rpt; ++ii) {
+          const int gi = t + ii * p;
+          if (gi < c || gi >= n) continue;
+          const gfloat vi = (gi == c) ? gfloat(1.0f) : A.get(ii, c);
+          for (int j = j0; j < jend; ++j) A.sub(ii, j, vi * part.ld(j - j0));
+        }
+      });
       ctx.sync();
       ctx.tag(OpTag::matvec);
     }
@@ -414,35 +461,43 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
   // Back substitution: everything a row owner needs is local except x_c.
   ctx.tag(OpTag::other);
   for (int c = n - 1; c >= 0; --c) {
-    if (t == c % p) {
+    ctx.lanes([&](int t) {
+      if (t != c % p) return;
+      auto& A = lane[t].A;
       const int lc = c / p;
       const gfloat x = A.get(lc, n) / A.get(lc, c);
       A.set(lc, n, x);
       x_sh.st(c, x);
-    }
+    });
     ctx.sync();
-    const gfloat x = x_sh.ld(c);
-    for (int ii = 0; ii < rpt; ++ii) {
-      const int gi = t + ii * p;
-      if (gi < c) A.sub(ii, n, A.get(ii, c) * x);
-    }
+    ctx.lanes([&](int t) {
+      auto& A = lane[t].A;
+      const gfloat x = x_sh.ld(c);
+      for (int ii = 0; ii < rpt; ++ii) {
+        const int gi = t + ii * p;
+        if (gi < c) A.sub(ii, n, A.get(ii, c) * x);
+      }
+    });
     ctx.sync();
   }
 
   ctx.tag(OpTag::store);
-  for (int ii = 0; ii < rpt; ++ii) {
-    const int gi = t + ii * p;
-    if (gi >= n) continue;
-    for (int j = 0; j < n; ++j)
-      ga.st(abase + gi + static_cast<std::ptrdiff_t>(j) * n, A.get(ii, j));
-    gb.st(bbase + gi, A.get(ii, n));
-  }
+  ctx.lanes([&](int t) {
+    auto& A = lane[t].A;
+    for (int ii = 0; ii < rpt; ++ii) {
+      const int gi = t + ii * p;
+      if (gi >= n) continue;
+      for (int j = 0; j < n; ++j)
+        ga.st(abase + gi + static_cast<std::ptrdiff_t>(j) * n, A.get(ii, j));
+      gb.st(bbase + gi, A.get(ii, n));
+    }
+  });
 }
 
 inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
   const int k = ctx.block();
   if (k >= arg.count) return;
-  const int n = arg.n, naug = n + 1, p = ctx.nthreads(), t = ctx.tid();
+  const int n = arg.n, naug = n + 1, p = ctx.nthreads();
   const int cpt = (naug + p - 1) / p;  // columns per thread
 
   auto ga = ctx.global(arg.a);
@@ -452,23 +507,28 @@ inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
 
   auto v_sh = ctx.shared<float>(n);
   auto head = ctx.shared<float>(8);
+  auto lane = lane_tiles<gfloat>(ctx, n, cpt);
 
   ctx.tag(OpTag::load);
-  auto A = ctx.reg_tile<gfloat>(n, cpt);
-  for (int jj = 0; jj < cpt; ++jj) {
-    const int gj = t + jj * p;
-    if (gj < n)
-      for (int i = 0; i < n; ++i)
-        A.set(i, jj, ga.ld(abase + i + static_cast<std::ptrdiff_t>(gj) * n));
-    else if (gj == n)
-      for (int i = 0; i < n; ++i) A.set(i, jj, gb.ld(bbase + i));
-  }
+  ctx.lanes([&](int t) {
+    auto& A = lane[t];
+    for (int jj = 0; jj < cpt; ++jj) {
+      const int gj = t + jj * p;
+      if (gj < n)
+        for (int i = 0; i < n; ++i)
+          A.set(i, jj, ga.ld(abase + i + static_cast<std::ptrdiff_t>(gj) * n));
+      else if (gj == n)
+        for (int i = 0; i < n; ++i) A.set(i, jj, gb.ld(bbase + i));
+    }
+  });
   ctx.sync();
 
   for (int c = 0; c < n - 1; ++c) {
     // 1. Entire column operation local to the owning thread.
     ctx.tag(OpTag::form_hh);
-    if (t == c % p) {
+    ctx.lanes([&](int t) {
+      if (t != c % p) return;
+      auto& A = lane[t];
       const int lc = c / p;
       gfloat sigma(0.0f);
       for (int i = c + 1; i < n; ++i) sigma = abs2_acc(A.get(i, lc), sigma);
@@ -481,51 +541,61 @@ inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
         A.set(i, lc, v);
         v_sh.st(i, v);
       }
-    }
+    });
     ctx.sync();
     // 2. Matvec + rank-1 fused: no cross-thread reduction needed.
     ctx.tag(OpTag::matvec);
-    const gfloat taup = load_head_skip(head) ? gfloat(0.0f)
-                                             : load_head_applied_tau<gfloat>(head);
-    for (int jj = 0; jj < cpt; ++jj) {
-      const int gj = t + jj * p;
-      if (gj <= c || gj >= naug) continue;
-      gfloat w(0.0f);
-      for (int i = c; i < n; ++i) w = gfma(v_sh.ld(i), A.get(i, jj), w);
-      w = w * taup;
-      ctx.tag(OpTag::rank1);
-      for (int i = c; i < n; ++i) A.sub(i, jj, v_sh.ld(i) * w);
-      ctx.tag(OpTag::matvec);
-    }
+    ctx.lanes([&](int t) {
+      auto& A = lane[t];
+      const gfloat taup = load_head_skip(head) ? gfloat(0.0f)
+                                               : load_head_applied_tau<gfloat>(head);
+      for (int jj = 0; jj < cpt; ++jj) {
+        const int gj = t + jj * p;
+        if (gj <= c || gj >= naug) continue;
+        gfloat w(0.0f);
+        for (int i = c; i < n; ++i) w = gfma(v_sh.ld(i), A.get(i, jj), w);
+        w = w * taup;
+        ctx.tag(OpTag::rank1);
+        for (int i = c; i < n; ++i) A.sub(i, jj, v_sh.ld(i) * w);
+        ctx.tag(OpTag::matvec);
+      }
+    });
     ctx.sync();
   }
 
   // Back substitution: serialized on the thread owning the augmented column.
   ctx.tag(OpTag::other);
   for (int c = n - 1; c >= 0; --c) {
-    if (t == c % p) {
+    ctx.lanes([&](int t) {
+      if (t != c % p) return;
+      auto& A = lane[t];
       const int lc = c / p;
       for (int i = 0; i <= c; ++i) v_sh.st(i, A.get(i, lc));
-    }
+    });
     ctx.sync();
-    if (t == n % p) {
+    ctx.lanes([&](int t) {
+      if (t != n % p) return;
+      auto& A = lane[t];
       const int la = n / p;
       const gfloat x = A.get(c, la) / v_sh.ld(c);
       A.set(c, la, x);
       for (int i = 0; i < c; ++i) A.sub(i, la, v_sh.ld(i) * x);
-    }
+    });
     ctx.sync();
   }
 
   ctx.tag(OpTag::store);
-  for (int jj = 0; jj < cpt; ++jj) {
-    const int gj = t + jj * p;
-    if (gj < n)
-      for (int i = 0; i < n; ++i)
-        ga.st(abase + i + static_cast<std::ptrdiff_t>(gj) * n, A.get(i, jj));
-    else if (gj == n)
-      for (int i = 0; i < n; ++i) gb.st(bbase + i, A.get(i, jj));
-  }
+  ctx.lanes([&](int t) {
+    auto& A = lane[t];
+    for (int jj = 0; jj < cpt; ++jj) {
+      const int gj = t + jj * p;
+      if (gj < n)
+        for (int i = 0; i < n; ++i)
+          ga.st(abase + i + static_cast<std::ptrdiff_t>(gj) * n, A.get(i, jj));
+      else if (gj == n)
+        for (int i = 0; i < n; ++i) gb.st(bbase + i, A.get(i, jj));
+    }
+  });
 }
 
 }  // namespace regla::core::detail

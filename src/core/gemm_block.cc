@@ -1,7 +1,7 @@
 #include "core/gemm_block.h"
 
 #include "common/error.h"
-#include "core/layout.h"
+#include "core/detail/lane_tiles.h"
 #include "core/per_block.h"
 #include "model/per_block_model.h"
 #include "simt/simt.h"
@@ -34,7 +34,7 @@ GpuBatchResult gemm_per_block(regla::simt::Device& dev, const BatchF& a,
   auto res = dev.launch(spec, [=](BlockCtx& ctx) {
     const int kidx = ctx.block();
     if (kidx >= count) return;
-    Grid2D g2(ctx.tid(), ctx.nthreads(), m, n);
+    auto lane = detail::lanes_2d<gfloat>(ctx, m, n);
     auto ga = ctx.global(a_data);
     auto gb = ctx.global(b_data);
     auto gc = ctx.global(c_data);
@@ -45,42 +45,53 @@ GpuBatchResult gemm_per_block(regla::simt::Device& dev, const BatchF& a,
     auto acol = ctx.shared<float>(m);
     auto brow = ctx.shared<float>(n);
 
-    auto C = ctx.reg_tile<gfloat>(g2.hreg, g2.wreg);
-    for (int jj = 0; jj < g2.wreg; ++jj)
-      for (int ii = 0; ii < g2.hreg; ++ii) C.set(ii, jj, gfloat(0.0f));
+    // Register-only, so it may share the first phase with the staging below.
+    ctx.lanes([&](int t) {
+      auto& [g2, C] = lane[t];
+      for (int jj = 0; jj < g2.wreg; ++jj)
+        for (int ii = 0; ii < g2.hreg; ++ii) C.set(ii, jj, gfloat(0.0f));
+    });
 
     ctx.tag(OpTag::other);
     for (int l = 0; l < kk; ++l) {
       // Cooperatively stage A(:, l) and B(l, :) in shared memory.
       ctx.tag(OpTag::load);
-      for (int i = ctx.tid(); i < m; i += ctx.nthreads())
-        acol.st(i, ga.ld(abase + i + static_cast<std::ptrdiff_t>(l) * m));
-      for (int j = ctx.tid(); j < n; j += ctx.nthreads())
-        brow.st(j, gb.ld(bbase + l + static_cast<std::ptrdiff_t>(j) * kk));
+      ctx.lanes([&](int t) {
+        for (int i = t; i < m; i += ctx.nthreads())
+          acol.st(i, ga.ld(abase + i + static_cast<std::ptrdiff_t>(l) * m));
+        for (int j = t; j < n; j += ctx.nthreads())
+          brow.st(j, gb.ld(bbase + l + static_cast<std::ptrdiff_t>(j) * kk));
+      });
       ctx.sync();
       // Rank-1 accumulation into the register tile.
       ctx.tag(OpTag::rank1);
-      for (int jj = 0; jj < g2.wreg; ++jj) {
-        const int gj = g2.gcol(jj);
-        if (gj >= n) continue;
-        const gfloat bj = brow.ld(gj);
-        for (int ii = 0; ii < g2.hreg; ++ii) {
-          const int gi = g2.grow(ii);
-          if (gi < m) C.set(ii, jj, gfma(acol.ld(gi), bj, C.get(ii, jj)));
+      ctx.lanes([&](int t) {
+        auto& [g2, C] = lane[t];
+        for (int jj = 0; jj < g2.wreg; ++jj) {
+          const int gj = g2.gcol(jj);
+          if (gj >= n) continue;
+          const gfloat bj = brow.ld(gj);
+          for (int ii = 0; ii < g2.hreg; ++ii) {
+            const int gi = g2.grow(ii);
+            if (gi < m) C.set(ii, jj, gfma(acol.ld(gi), bj, C.get(ii, jj)));
+          }
         }
-      }
+      });
       ctx.sync();
     }
 
     ctx.tag(OpTag::store);
-    for (int jj = 0; jj < g2.wreg; ++jj) {
-      const int gj = g2.gcol(jj);
-      for (int ii = 0; ii < g2.hreg; ++ii) {
-        const int gi = g2.grow(ii);
-        if (gi < m && gj < n)
-          gc.st(cbase + gi + static_cast<std::ptrdiff_t>(gj) * m, C.get(ii, jj));
+    ctx.lanes([&](int t) {
+      auto& [g2, C] = lane[t];
+      for (int jj = 0; jj < g2.wreg; ++jj) {
+        const int gj = g2.gcol(jj);
+        for (int ii = 0; ii < g2.hreg; ++ii) {
+          const int gi = g2.grow(ii);
+          if (gi < m && gj < n)
+            gc.st(cbase + gi + static_cast<std::ptrdiff_t>(gj) * m, C.get(ii, jj));
+        }
       }
-    }
+    });
   });
 
   const double flops = 2.0 * m * n * kk * count;

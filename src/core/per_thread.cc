@@ -64,46 +64,48 @@ GpuBatchResult qr_per_thread(regla::simt::Device& dev, BatchF& batch,
   const int count = batch.count();
 
   auto result = dev.launch(spec, [=](BlockCtx& ctx) {
-    const int k = ctx.block() * ctx.nthreads() + ctx.tid();
-    if (k >= count) return;
-    auto g = ctx.global(data);
-    const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
-    auto a = ctx.reg_tile<gfloat>(n, n);
-    load_tile(ctx, g, base, a, n, n);
+    ctx.lanes([&](int t) {
+      const int k = ctx.block() * ctx.nthreads() + t;
+      if (k >= count) return;
+      auto g = ctx.global(data);
+      const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
+      auto a = ctx.reg_tile<gfloat>(n, n);
+      load_tile(ctx, g, base, a, n, n);
 
-    ctx.tag(OpTag::other);
-    gfloat tau_col[64];  // n*n <= kMaxTileElems bounds n at 32
-    for (int c = 0; c < n; ++c) {
-      // Column norm^2 below (and including) the diagonal.
-      gfloat sigma = 0.0f;
-      for (int i = c + 1; i < n; ++i) sigma = gfma(a.get(i, c), a.get(i, c), sigma);
-      const gfloat alpha = a.get(c, c);
-      if (sigma.value() == 0.0f) {
-        tau_col[c] = 0.0f;
-        continue;
+      ctx.tag(OpTag::other);
+      gfloat tau_col[64];  // n*n <= kMaxTileElems bounds n at 32
+      for (int c = 0; c < n; ++c) {
+        // Column norm^2 below (and including) the diagonal.
+        gfloat sigma = 0.0f;
+        for (int i = c + 1; i < n; ++i) sigma = gfma(a.get(i, c), a.get(i, c), sigma);
+        const gfloat alpha = a.get(c, c);
+        if (sigma.value() == 0.0f) {
+          tau_col[c] = 0.0f;
+          continue;
+        }
+        gfloat beta = gsqrt(gfma(alpha, alpha, sigma));
+        if (alpha.value() > 0.0f) beta = -beta;
+        tau_col[c] = (beta - alpha) / beta;
+        const gfloat inv = gfloat(1.0f) / (alpha - beta);
+        for (int i = c + 1; i < n; ++i) a.scale(i, c, inv);
+        a.set(c, c, beta);
+        // Apply H = I - tau v v^T to the trailing columns.
+        for (int j = c + 1; j < n; ++j) {
+          gfloat w = a.get(c, j);
+          for (int i = c + 1; i < n; ++i) w = gfma(a.get(i, c), a.get(i, j), w);
+          w = w * tau_col[c];
+          a.sub(c, j, w);
+          for (int i = c + 1; i < n; ++i) a.sub(i, j, a.get(i, c) * w);
+        }
       }
-      gfloat beta = gsqrt(gfma(alpha, alpha, sigma));
-      if (alpha.value() > 0.0f) beta = -beta;
-      tau_col[c] = (beta - alpha) / beta;
-      const gfloat inv = gfloat(1.0f) / (alpha - beta);
-      for (int i = c + 1; i < n; ++i) a.scale(i, c, inv);
-      a.set(c, c, beta);
-      // Apply H = I - tau v v^T to the trailing columns.
-      for (int j = c + 1; j < n; ++j) {
-        gfloat w = a.get(c, j);
-        for (int i = c + 1; i < n; ++i) w = gfma(a.get(i, c), a.get(i, j), w);
-        w = w * tau_col[c];
-        a.sub(c, j, w);
-        for (int i = c + 1; i < n; ++i) a.sub(i, j, a.get(i, c) * w);
-      }
-    }
 
-    store_tile(ctx, g, base, a, n, n);
-    if (tau_data != nullptr) {
-      auto gt = ctx.global(tau_data);
-      for (int c = 0; c < n; ++c)
-        gt.st(static_cast<std::ptrdiff_t>(k) * n + c, tau_col[c]);
-    }
+      store_tile(ctx, g, base, a, n, n);
+      if (tau_data != nullptr) {
+        auto gt = ctx.global(tau_data);
+        for (int c = 0; c < n; ++c)
+          gt.st(static_cast<std::ptrdiff_t>(k) * n + c, tau_col[c]);
+      }
+    });
   });
 
   return GpuBatchResult{result, model::qr_flops(n, n) * batch.count()};
@@ -120,24 +122,26 @@ GpuBatchResult lu_per_thread(regla::simt::Device& dev, BatchF& batch) {
   const int count = batch.count();
 
   auto result = dev.launch(spec, [=](BlockCtx& ctx) {
-    const int k = ctx.block() * ctx.nthreads() + ctx.tid();
-    if (k >= count) return;
-    auto g = ctx.global(data);
-    const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
-    auto a = ctx.reg_tile<gfloat>(n, n);
-    load_tile(ctx, g, base, a, n, n);
+    ctx.lanes([&](int t) {
+      const int k = ctx.block() * ctx.nthreads() + t;
+      if (k >= count) return;
+      auto g = ctx.global(data);
+      const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
+      auto a = ctx.reg_tile<gfloat>(n, n);
+      load_tile(ctx, g, base, a, n, n);
 
-    ctx.tag(OpTag::other);
-    for (int c = 0; c < n - 1; ++c) {
-      const gfloat inv = gfloat(1.0f) / a.get(c, c);
-      for (int i = c + 1; i < n; ++i) a.scale(i, c, inv);
-      for (int j = c + 1; j < n; ++j) {
-        const gfloat u = a.get(c, j);
-        for (int i = c + 1; i < n; ++i) a.sub(i, j, a.get(i, c) * u);
+      ctx.tag(OpTag::other);
+      for (int c = 0; c < n - 1; ++c) {
+        const gfloat inv = gfloat(1.0f) / a.get(c, c);
+        for (int i = c + 1; i < n; ++i) a.scale(i, c, inv);
+        for (int j = c + 1; j < n; ++j) {
+          const gfloat u = a.get(c, j);
+          for (int i = c + 1; i < n; ++i) a.sub(i, j, a.get(i, c) * u);
+        }
       }
-    }
 
-    store_tile(ctx, g, base, a, n, n);
+      store_tile(ctx, g, base, a, n, n);
+    });
   });
 
   return GpuBatchResult{result, model::lu_flops(n) * batch.count()};
@@ -159,40 +163,42 @@ GpuBatchResult gj_solve_per_thread(regla::simt::Device& dev, BatchF& a,
   const int count = a.count();
 
   auto result = dev.launch(spec, [=](BlockCtx& ctx) {
-    const int k = ctx.block() * ctx.nthreads() + ctx.tid();
-    if (k >= count) return;
-    auto ga = ctx.global(a_data);
-    auto gb = ctx.global(b_data);
-    const std::ptrdiff_t abase = static_cast<std::ptrdiff_t>(k) * n * n;
-    const std::ptrdiff_t bbase = static_cast<std::ptrdiff_t>(k) * n;
+    ctx.lanes([&](int tid) {
+      const int k = ctx.block() * ctx.nthreads() + tid;
+      if (k >= count) return;
+      auto ga = ctx.global(a_data);
+      auto gb = ctx.global(b_data);
+      const std::ptrdiff_t abase = static_cast<std::ptrdiff_t>(k) * n * n;
+      const std::ptrdiff_t bbase = static_cast<std::ptrdiff_t>(k) * n;
 
-    // Augmented tile [A | b]: the paper attaches b to the right of A.
-    auto t = ctx.reg_tile<gfloat>(n, n + 1);
-    ctx.tag(OpTag::load);
-    for (int j = 0; j < n; ++j)
-      for (int i = 0; i < n; ++i)
-        t.set(i, j, ga.ld(abase + i + static_cast<std::ptrdiff_t>(j) * n));
-    for (int i = 0; i < n; ++i) t.set(i, n, gb.ld(bbase + i));
+      // Augmented tile [A | b]: the paper attaches b to the right of A.
+      auto t = ctx.reg_tile<gfloat>(n, n + 1);
+      ctx.tag(OpTag::load);
+      for (int j = 0; j < n; ++j)
+        for (int i = 0; i < n; ++i)
+          t.set(i, j, ga.ld(abase + i + static_cast<std::ptrdiff_t>(j) * n));
+      for (int i = 0; i < n; ++i) t.set(i, n, gb.ld(bbase + i));
 
-    ctx.tag(OpTag::other);
-    bool solved = true;
-    for (int c = 0; c < n; ++c) {
-      if (t.get(c, c).value() == 0.0f) { solved = false; break; }
-      const gfloat inv = gfloat(1.0f) / t.get(c, c);
-      for (int j = c; j <= n; ++j) t.scale(c, j, inv);
-      for (int i = 0; i < n; ++i) {
-        if (i == c) continue;
-        const gfloat f = t.get(i, c);
-        for (int j = c; j <= n; ++j) t.sub(i, j, f * t.get(c, j));
+      ctx.tag(OpTag::other);
+      bool solved = true;
+      for (int c = 0; c < n; ++c) {
+        if (t.get(c, c).value() == 0.0f) { solved = false; break; }
+        const gfloat inv = gfloat(1.0f) / t.get(c, c);
+        for (int j = c; j <= n; ++j) t.scale(c, j, inv);
+        for (int i = 0; i < n; ++i) {
+          if (i == c) continue;
+          const gfloat f = t.get(i, c);
+          for (int j = c; j <= n; ++j) t.sub(i, j, f * t.get(c, j));
+        }
       }
-    }
 
-    ctx.tag(OpTag::store);
-    for (int i = 0; i < n; ++i) gb.st(bbase + i, t.get(i, n));
-    if (flag_data != nullptr && !solved) {
-      auto gf = ctx.global(flag_data);
-      gf.st(k, 1);
-    }
+      ctx.tag(OpTag::store);
+      for (int i = 0; i < n; ++i) gb.st(bbase + i, t.get(i, n));
+      if (flag_data != nullptr && !solved) {
+        auto gf = ctx.global(flag_data);
+        gf.st(k, 1);
+      }
+    });
   });
 
   return GpuBatchResult{result, model::gj_flops(n) * a.count()};

@@ -29,17 +29,20 @@ double shared_copy_cycles(regla::simt::Device& dev, int blocks, int iters) {
     auto smem = ctx.shared<float>(256 * kCopies);
     // Warm the arena (stores are not part of the timed loop on hardware
     // either — the paper times steady-state loads).
-    for (int j = 0; j < kCopies; ++j) smem.st(ctx.tid() + j * 256, gfloat(1.0f));
+    ctx.lanes([&](int t) {
+      for (int j = 0; j < kCopies; ++j) smem.st(t + j * 256, gfloat(1.0f));
+    });
     ctx.sync();
-    gfloat acc[kCopies];
-    for (int i = 0; i < iters; ++i)
-      for (int j = 0; j < kCopies; ++j)
-        acc[j] += smem.ld(ctx.tid() + j * 256);
-    // Defeat "dead code" concerns the way CUDA benchmarks do: fold acc into
-    // a store no one reads.
-    gfloat sum(0.0f);
-    for (int j = 0; j < kCopies; ++j) sum += acc[j];
-    smem.st(ctx.tid(), sum);
+    ctx.lanes([&](int t) {
+      gfloat acc[kCopies];
+      for (int i = 0; i < iters; ++i)
+        for (int j = 0; j < kCopies; ++j) acc[j] += smem.ld(t + j * 256);
+      // Defeat "dead code" concerns the way CUDA benchmarks do: fold acc
+      // into a store no one reads.
+      gfloat sum(0.0f);
+      for (int j = 0; j < kCopies; ++j) sum += acc[j];
+      smem.st(t, sum);
+    });
   });
   return res.chip_cycles;
 }
@@ -87,14 +90,16 @@ double global_copy_gbs(regla::simt::Device& dev, std::size_t megabytes) {
     auto gx = ctx.global(xp);
     auto gy = ctx.global(yp);
     // Grid-strided unrolled copy: warp-contiguous, fully coalesced.
-    const std::size_t lane =
-        static_cast<std::size_t>(ctx.block()) * ctx.nthreads() + ctx.tid();
     const std::size_t stride =
         static_cast<std::size_t>(ctx.nblocks()) * ctx.nthreads();
-    for (std::size_t i = 0; i < per_thread; ++i) {
-      const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(lane + i * stride);
-      gy.st(idx, gx.ld(idx));
-    }
+    ctx.lanes([&](int t) {
+      const std::size_t lane =
+          static_cast<std::size_t>(ctx.block()) * ctx.nthreads() + t;
+      for (std::size_t i = 0; i < per_thread; ++i) {
+        const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(lane + i * stride);
+        gy.st(idx, gx.ld(idx));
+      }
+    });
   });
   const double bytes = 2.0 * static_cast<double>(per_thread) * blocks * threads * 4;
   return bytes / res.seconds / 1e9;
@@ -109,11 +114,15 @@ double shared_latency_cycles(regla::simt::Device& dev) {
     spec.name = "shared_chase";
     auto res = dev.launch(spec, [steps](BlockCtx& ctx) {
       auto smem = ctx.shared<int>(1024);
-      for (int i = 0; i < 1024; ++i) smem.st(i, (i + 1) & 1023);
+      ctx.lanes([&](int) {
+        for (int i = 0; i < 1024; ++i) smem.st(i, (i + 1) & 1023);
+      });
       ctx.sync();
-      int acc = 0;
-      for (int i = 0; i < steps; ++i) acc = smem.ld_dep(acc);
-      smem.st(0, acc);  // keep the chain alive
+      ctx.lanes([&](int) {
+        int acc = 0;
+        for (int i = 0; i < steps; ++i) acc = smem.ld_dep(acc);
+        smem.st(0, acc);  // keep the chain alive
+      });
     });
     return res.chip_cycles;
   };
@@ -137,11 +146,13 @@ double global_latency_cycles(regla::simt::Device& dev, std::size_t stride_words,
       // larger than steps * stride revisits, so the chase never re-touches a
       // cache line; emulate that by letting the synthetic address grow.
       (void)len_words;
-      std::size_t idx = 0;
-      for (int i = 0; i < steps; ++i) {
-        g.touch_dep(static_cast<std::ptrdiff_t>(idx));
-        idx += stride_words;
-      }
+      ctx.lanes([&](int) {
+        std::size_t idx = 0;
+        for (int i = 0; i < steps; ++i) {
+          g.touch_dep(static_cast<std::ptrdiff_t>(idx));
+          idx += stride_words;
+        }
+      });
     });
     return res.chip_cycles;
   };
@@ -174,10 +185,11 @@ double fp_pipeline_cycles(regla::simt::Device& dev) {
     spec.regs_per_thread = 16;
     spec.name = "fma_chain";
     auto res = dev.launch(spec, [=](BlockCtx& ctx) {
-      (void)ctx;
-      gfloat acc(1.0f);
-      for (int i = 0; i < steps; ++i)
-        acc = simt::gfma_dep(acc, gfloat(1.0000001f), gfloat(1e-7f), pipe);
+      ctx.lanes([&](int) {
+        gfloat acc(1.0f);
+        for (int i = 0; i < steps; ++i)
+          acc = simt::gfma_dep(acc, gfloat(1.0000001f), gfloat(1e-7f), pipe);
+      });
     });
     return res.chip_cycles;
   };

@@ -199,10 +199,11 @@ SolveReport run_device(regla::simt::Device& dev, planner::Op op,
   // Declare data-independence for the replay cache (a no-op on devices that
   // have not opted into replay). Tiled approaches are excluded: their step
   // launches reuse one kernel name across panels whose work differs, so the
-  // geometry+salt key cannot tell the steps apart.
+  // geometry+salt key cannot tell the steps apart. Padded batches are too:
+  // two batches of one tile but different member shapes share a key.
   const planner::OpTraits& traits = planner::op_traits(op);
-  const bool data_independent =
-      traits.data_independent && plan.approach != core::Approach::tiled;
+  const bool data_independent = traits.data_independent && !call.padded &&
+                                plan.approach != core::Approach::tiled;
   regla::simt::Device::ReplayScope scope(
       dev, data_independent, data_independent ? replay_salt(dev, plan, call) : 0);
   return e->device(dev, plan, call);

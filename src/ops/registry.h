@@ -65,6 +65,10 @@ struct Call {
   BatchC* ca = nullptr;    ///< c64 matrix batch
   BatchC* ctaus = nullptr;
   core::SolveOptions opts; ///< request-level knobs (threads/layout/method)
+  /// Problems may sit in identity-padded tiles (a ragged batch): the
+  /// padding's zero sub-columns steer the kernels' data-dependent branches
+  /// (QR's skip), so the launch's accounting is not data-independent.
+  bool padded = false;
 
   planner::Dtype dtype() const {
     return ca != nullptr ? planner::Dtype::c64 : planner::Dtype::f32;

@@ -468,6 +468,7 @@ SolveReport Runtime::solve_one(fleet::Stream& s, const Signature& sig,
   ops::Call call;
   call.opts.threads = sig.threads;
   call.opts.layout = sig.layout;
+  call.padded = sig.ragged;
   if (p.is_complex) {
     call.ca = &p.ca;
   } else {

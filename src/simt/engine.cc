@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -12,7 +11,6 @@
 #include "cpu/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "simt/fiber.h"
 #include "simt/replay.h"
 #include "simt/timing.h"
 #include "simt/trace.h"
@@ -66,119 +64,97 @@ Device::ReplayScope::~ReplayScope() {
 
 namespace {
 
-/// Per-warp liveness masks: the stepping loops touch only warps with live
-/// lanes, and within a warp walk the set bits — a retired warp costs one
-/// load per phase, and the lanes of a live warp run as one contiguous loop
-/// between sync points (the SIMD stepping restructure; warp_size <= 32 fits
-/// the mask, wider configs get multiple mask words per warp row).
-struct WarpLiveness {
-  std::vector<std::uint32_t> live;
-  int lanes_per_word = 0;
-
-  WarpLiveness(int threads, int warp_size) {
-    lanes_per_word = std::min(warp_size, 32);
-    const int words = (threads + lanes_per_word - 1) / lanes_per_word;
-    live.resize(static_cast<std::size_t>(words));
-    for (int w = 0; w < words; ++w) {
-      const int lanes = std::min(lanes_per_word, threads - w * lanes_per_word);
-      live[static_cast<std::size_t>(w)] =
-          lanes == 32 ? ~0u : ((1u << lanes) - 1u);
-    }
-  }
+/// The engine's obs instruments, looked up once: counter() takes the
+/// registry mutex and hashes the name, which every launch used to pay for
+/// several times over. References into the registry never dangle.
+struct EngineCounters {
+  obs::Counter& launch_failures = obs::counter("engine.fault.launch_failures");
+  obs::Counter& poisoned_launches =
+      obs::counter("engine.fault.poisoned_launches");
+  obs::Counter& latency_spikes = obs::counter("engine.fault.latency_spikes");
+  obs::Counter& replay_hits = obs::counter("engine.replay.hits");
+  obs::Counter& replay_misses = obs::counter("engine.replay.misses");
+  obs::Counter& replay_nonuniform = obs::counter("engine.replay.nonuniform");
+  obs::Counter& blocks_replayed = obs::counter("engine.replay.blocks_replayed");
+  obs::Counter& blocks_simulated =
+      obs::counter("engine.replay.blocks_simulated");
+  obs::Counter& verify_blocks = obs::counter("engine.replay.verify_blocks");
+  obs::Counter& verify_mismatches =
+      obs::counter("engine.replay.verify_mismatches");
+  obs::Counter& addr_truncations = obs::counter("engine.addr_truncations");
 };
 
-/// Run one block instrumented: every lane's counters recorded and folded
-/// into a PhaseRecord at each sync boundary.
-BlockRun run_block(const DeviceConfig& cfg, const LaunchSpec& spec,
-                   const KernelFn& body, int block_id) {
-  BlockRun out;
-  BlockState state;
-  std::vector<ThreadStats> stats(spec.threads);
-  std::vector<BlockCtx> ctxs;
-  ctxs.reserve(spec.threads);
-  for (int t = 0; t < spec.threads; ++t)
-    ctxs.emplace_back(cfg, state, block_id, spec.blocks, t, spec.threads,
-                      &Fiber::yield);
-
-  std::vector<std::unique_ptr<Fiber>> fibers;
-  fibers.reserve(spec.threads);
-  for (int t = 0; t < spec.threads; ++t)
-    fibers.push_back(std::make_unique<Fiber>(
-        [&body, &ctxs, t] { body(ctxs[t]); }, spec.fiber_stack_bytes));
-
-  fast_math_enabled() = cfg.fast_math;
-  WarpLiveness wl(spec.threads, cfg.warp_size);
-  FoldScratch scratch;
-  int alive = spec.threads;
-  while (alive > 0) {
-    // One pass: every live fiber runs to its next __syncthreads() or to
-    // completion; that boundary is a phase.
-    for (std::size_t w = 0; w < wl.live.size(); ++w) {
-      std::uint32_t mask = wl.live[w];
-      if (mask == 0) continue;  // whole warp retired
-      const int base = static_cast<int>(w) * wl.lanes_per_word;
-      do {
-        const int lane = std::countr_zero(mask);
-        mask &= mask - 1;
-        const int t = base + lane;
-        current_stats() = &stats[t];
-        if (!fibers[t]->resume()) {
-          wl.live[w] &= ~(1u << lane);
-          --alive;
-        }
-      } while (mask != 0);
-    }
-    current_stats() = nullptr;
-    const bool ended_with_sync = alive > 0;
-    out.phases.push_back(fold_phase(cfg, stats, state.current_tag,
-                                    state.current_panel, ended_with_sync,
-                                    &scratch));
-    if (ended_with_sync) ++out.syncs;
-    for (ThreadStats& s : stats) s.reset();
-  }
-  out.shared_bytes = state.shared.total_bytes();
-  return out;
+EngineCounters& counters() {
+  static EngineCounters c;
+  return c;
 }
 
-/// Run one block functionally only — no counters, no folds, no PhaseRecords.
-/// current_stats() stays null so the instrumented device types skip their
-/// recording branches entirely; the kernel's numerics are bit-identical to
-/// the instrumented path. This is what replayed blocks execute.
-void run_block_fast(const DeviceConfig& cfg, const LaunchSpec& spec,
-                    const KernelFn& body, int block_id) {
-  BlockState state;
-  std::vector<BlockCtx> ctxs;
-  ctxs.reserve(spec.threads);
-  for (int t = 0; t < spec.threads; ++t)
-    ctxs.emplace_back(cfg, state, block_id, spec.blocks, t, spec.threads,
-                      &Fiber::yield);
+}  // namespace
 
-  std::vector<std::unique_ptr<Fiber>> fibers;
-  fibers.reserve(spec.threads);
-  for (int t = 0; t < spec.threads; ++t)
-    fibers.push_back(std::make_unique<Fiber>(
-        [&body, &ctxs, t] { body(ctxs[t]); }, spec.fiber_stack_bytes));
+/// Per-block instrumentation: every lane's counters for the open phase and
+/// the phases folded so far.
+struct BlockInstr {
+  std::vector<ThreadStats> stats;
+  FoldScratch scratch;
+  BlockRun run;
+};
 
-  fast_math_enabled() = cfg.fast_math;
-  current_stats() = nullptr;
-  WarpLiveness wl(spec.threads, cfg.warp_size);
-  int alive = spec.threads;
-  while (alive > 0) {
-    for (std::size_t w = 0; w < wl.live.size(); ++w) {
-      std::uint32_t mask = wl.live[w];
-      if (mask == 0) continue;
-      const int base = static_cast<int>(w) * wl.lanes_per_word;
-      do {
-        const int lane = std::countr_zero(mask);
-        mask &= mask - 1;
-        const int t = base + lane;
-        if (!fibers[t]->resume()) {
-          wl.live[w] &= ~(1u << lane);
-          --alive;
-        }
-      } while (mask != 0);
+void BlockCtx::close_phase(bool ended_with_sync) {
+  instr_->run.phases.push_back(fold_phase(*cfg_, instr_->stats, tag_, panel_,
+                                          ended_with_sync, &instr_->scratch));
+  if (ended_with_sync) ++instr_->run.syncs;
+  for (ThreadStats& s : instr_->stats) s.reset();
+}
+
+LaneArena& LaneArena::local() {
+  thread_local LaneArena arena;
+  return arena;
+}
+
+void* LaneArena::alloc(std::size_t bytes, std::size_t align) {
+  for (;; ++cur_, used_ = 0) {
+    if (cur_ == chunks_.size()) {
+      const std::size_t last = chunks_.empty() ? 0 : chunks_.back().size;
+      const std::size_t size =
+          std::max({bytes + align, 2 * last, std::size_t{64} << 10});
+      chunks_.push_back(
+          Chunk{std::unique_ptr<std::byte[]>(new std::byte[size]), size});
+    }
+    Chunk& c = chunks_[cur_];
+    const auto base = reinterpret_cast<std::uintptr_t>(c.mem.get());
+    const std::uintptr_t at = (base + used_ + align - 1) & ~(align - 1);
+    const std::size_t end = at - base + bytes;
+    if (end <= c.size) {
+      used_ = end;
+      return reinterpret_cast<void*>(at);
     }
   }
+}
+
+namespace {
+
+/// Run one block: the kernel body once, each phase as a loop over the live
+/// lanes. Instrumented, every lane's counters are recorded and folded into a
+/// PhaseRecord at each barrier and when the body returns; otherwise (the
+/// replay fast path) current_stats() stays null, so the instrumented device
+/// types skip their recording branches and the numerics are bit-identical.
+BlockRun run_block(const DeviceConfig& cfg, const LaunchSpec& spec,
+                   const KernelFn& body, int block_id, bool instrumented) {
+  BlockInstr instr;
+  if (instrumented) instr.stats.resize(static_cast<std::size_t>(spec.threads));
+  fast_math_enabled() = cfg.fast_math;
+  BlockCtx ctx(cfg, block_id, spec.blocks, spec.threads,
+               instrumented ? &instr : nullptr,
+               instrumented ? instr.stats.data() : nullptr);
+  // A lane that throws must not leave the host thread charging later work
+  // to this block's (freed) counters.
+  struct ClearStats {
+    ~ClearStats() { current_stats() = nullptr; }
+  } clear_stats;
+  body(ctx);
+  ctx.finish();
+  instr.run.shared_bytes = ctx.shared_bytes();
+  return std::move(instr.run);
 }
 
 /// Project the launch's per-phase cycle breakdown into the wall-clock window
@@ -232,7 +208,7 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
     if (fi.launch_failure_rate > 0 &&
         detail::fault_draw(fi.seed, ordinal, 0) < fi.launch_failure_rate) {
       ++fault_stats_.launch_failures;
-      obs::counter("engine.fault.launch_failures").add();
+      counters().launch_failures.add();
       std::ostringstream os;
       os << "injected transient launch failure: kernel '" << spec.name
          << "' launch #" << ordinal << " (seed " << fi.seed << ")";
@@ -243,13 +219,13 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
       poison_block =
           static_cast<int>(ordinal % static_cast<std::uint64_t>(spec.blocks));
       ++fault_stats_.poisoned_launches;
-      obs::counter("engine.fault.poisoned_launches").add();
+      counters().poisoned_launches.add();
     }
     if (fi.latency_spike_rate > 0 &&
         detail::fault_draw(fi.seed, ordinal, 2) < fi.latency_spike_rate) {
       spike = true;
       ++fault_stats_.latency_spikes;
-      obs::counter("engine.fault.latency_spikes").add();
+      counters().latency_spikes.add();
     }
   }
 
@@ -264,8 +240,7 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
     key = ReplayKey{spec.name, spec.blocks, spec.threads, spec.regs_per_thread,
                     scope_salt_};
     hit = replay_cache_->find(key);
-    obs::counter(hit != nullptr ? "engine.replay.hits" : "engine.replay.misses")
-        .add();
+    (hit != nullptr ? counters().replay_hits : counters().replay_misses).add();
   }
   const bool verify = hit != nullptr && replay_verify_;
 
@@ -299,12 +274,8 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
         std::clamp(configured, 1, static_cast<int>(todo.size()));
     const auto one = [&](int b) {
       if (b == poison_block) return;  // poisoned: silently skipped
-      if (instrumented) {
-        runs[b] = run_block(cfg_, spec, body, b);
-        instr[static_cast<std::size_t>(b)] = 1;
-      } else {
-        run_block_fast(cfg_, spec, body, b);
-      }
+      runs[b] = run_block(cfg_, spec, body, b, instrumented);
+      if (instrumented) instr[static_cast<std::size_t>(b)] = 1;
     };
     if (workers == 1) {
       for (int b : todo) one(b);
@@ -351,11 +322,11 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
       if (replay_verify_) {
         std::uint64_t mismatches = 0;
         for (int b : rest) {
-          obs::counter("engine.replay.verify_blocks").add();
+          counters().verify_blocks.add();
           if (!(runs[b] == runs[reps[0]])) ++mismatches;
         }
         if (mismatches > 0) {
-          obs::counter("engine.replay.verify_mismatches").add(mismatches);
+          counters().verify_mismatches.add(mismatches);
           REGLA_CHECK_MSG(false,
                           "replay verify: kernel '"
                               << spec.name << "' blocks=" << spec.blocks
@@ -366,7 +337,7 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
         }
       }
     } else {
-      obs::counter("engine.replay.nonuniform").add();
+      counters().replay_nonuniform.add();
       std::vector<int> rest;
       rest.reserve(all.size());
       for (int b : all)
@@ -392,9 +363,9 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
     (instr[static_cast<std::size_t>(b)] != 0 ? simulated : replayed) += 1;
   }
   if (replay_active) {
-    if (replayed > 0) obs::counter("engine.replay.blocks_replayed").add(replayed);
+    if (replayed > 0) counters().blocks_replayed.add(replayed);
     if (simulated > 0)
-      obs::counter("engine.replay.blocks_simulated").add(simulated);
+      counters().blocks_simulated.add(simulated);
   }
 
   // Verify mode: every block was fully simulated above; assert the cached
@@ -403,11 +374,11 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
     std::uint64_t mismatches = 0;
     for (int b = 0; b < spec.blocks; ++b) {
       if (b == poison_block) continue;
-      obs::counter("engine.replay.verify_blocks").add();
+      counters().verify_blocks.add();
       if (!(runs[b] == hit->run_for(b))) ++mismatches;
     }
     if (mismatches > 0) {
-      obs::counter("engine.replay.verify_mismatches").add(mismatches);
+      counters().verify_mismatches.add(mismatches);
       REGLA_CHECK_MSG(false, "replay verify: kernel '"
                                  << spec.name << "' blocks=" << spec.blocks
                                  << " threads=" << spec.threads << ": "
@@ -476,7 +447,7 @@ LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
   }
   res.totals.gl_bytes = dram_bytes;
   if (res.totals.addr_truncations > 0)
-    obs::counter("engine.addr_truncations").add(res.totals.addr_truncations);
+    counters().addr_truncations.add(res.totals.addr_truncations);
 
   res.chip_cycles = chip_cycles(cfg_, block_times, k_resident, dram_bytes);
   if (spike) res.chip_cycles *= cfg_.faults.latency_spike_multiplier;

@@ -1,5 +1,6 @@
-// The launch engine: runs kernels functionally (fibers) and produces timing
-// (cycles on the configured chip) plus instrumentation breakdowns.
+// The launch engine: runs kernels functionally (each block as a sequence of
+// barrier-delimited phases over its lanes, simt/block_ctx.h) and produces
+// timing (cycles on the configured chip) plus instrumentation breakdowns.
 #pragma once
 
 #include <functional>
@@ -31,7 +32,6 @@ struct LaunchSpec {
   /// HW max; tiles that exceed the budget additionally spill — see RegTile).
   int regs_per_thread = 32;
   std::string name;
-  std::size_t fiber_stack_bytes = 128 * 1024;
 };
 
 /// Cycle attribution bucket for the Table V / Fig. 8 breakdowns.
@@ -81,7 +81,7 @@ class Device {
   const DeviceConfig& config() const { return cfg_; }
   DeviceConfig& mutable_config() { return cfg_; }
 
-  /// Run `body` for every thread of every block; returns full timing and
+  /// Run `body` once for every block; returns full timing and
   /// instrumentation. Functionally exact: all side effects on host memory
   /// wrapped by ctx.global() have happened when this returns.
   ///

@@ -4,6 +4,7 @@
 
 #include <complex>
 #include <cstdint>
+#include <memory>
 #include <unordered_set>
 
 #include "common/error.h"
@@ -63,6 +64,23 @@ class GlobalLatencyModel {
   std::unordered_set<std::uint64_t> distinct_lines_;
 };
 
+/// A block's slot for its GlobalLatencyModel, built on the first dependent
+/// access made with counters on: the replay fast path never charges latency,
+/// so it never pays for the model's line set.
+class ChaseModel {
+ public:
+  explicit ChaseModel(const DeviceConfig& cfg) : cfg_(&cfg) {}
+
+  double access(std::uint64_t byte_addr) {
+    if (!model_) model_ = std::make_unique<GlobalLatencyModel>(*cfg_);
+    return model_->access(byte_addr);
+  }
+
+ private:
+  const DeviceConfig* cfg_;
+  std::unique_ptr<GlobalLatencyModel> model_;
+};
+
 /// Typed accessor over host memory standing in for device global memory.
 /// Loads/stores log byte addresses so the phase fold can count distinct
 /// 128-byte segments per warp (the GF100 coalescing rule).
@@ -72,7 +90,7 @@ class Global {
   using value_type = typename detail::DeviceValue<std::remove_const_t<T>>::type;
 
   Global() = default;
-  Global(T* ptr, const DeviceConfig& cfg, GlobalLatencyModel* chase)
+  Global(T* ptr, const DeviceConfig& cfg, ChaseModel* chase)
       : ptr_(ptr), cfg_(&cfg), chase_(chase) {}
 
   value_type ld(std::ptrdiff_t i) const {
@@ -123,7 +141,7 @@ class Global {
 
   T* ptr_ = nullptr;
   const DeviceConfig* cfg_ = nullptr;
-  GlobalLatencyModel* chase_ = nullptr;
+  ChaseModel* chase_ = nullptr;
 };
 
 }  // namespace regla::simt

@@ -9,7 +9,7 @@
 // cliff at n = 8 and Fig. 9's dips at 64 and past 112 reproduce exactly.
 #pragma once
 
-#include <array>
+#include <memory>
 
 #include "common/error.h"
 #include "simt/gfloat.h"
@@ -32,6 +32,7 @@ class RegTile {
       : h_(h), w_(w), fit_(fit_elems) {
     REGLA_CHECK_MSG(h >= 0 && w >= 0 && h * w <= kMaxTileElems,
                     "RegTile " << h << "x" << w << " exceeds kMaxTileElems");
+    std::uninitialized_fill_n(s_.a, h * w, V(0.0f));
   }
 
   int rows() const { return h_; }
@@ -43,22 +44,22 @@ class RegTile {
 
   V get(int i, int j) const {
     touch(i, j);
-    return a_[idx(i, j)];
+    return s_.a[idx(i, j)];
   }
   void set(int i, int j, V v) {
     touch(i, j);
-    a_[idx(i, j)] = v;
+    s_.a[idx(i, j)] = v;
   }
 
   /// In-place update helpers avoid double-charging spill traffic for the
   /// read-modify-write idiom in trailing updates.
   void sub(int i, int j, V v) {
     touch(i, j);
-    a_[idx(i, j)] = a_[idx(i, j)] - v;
+    s_.a[idx(i, j)] = s_.a[idx(i, j)] - v;
   }
   void scale(int i, int j, V s) {
     touch(i, j);
-    a_[idx(i, j)] = a_[idx(i, j)] * s;
+    s_.a[idx(i, j)] = s_.a[idx(i, j)] * s;
   }
 
  private:
@@ -83,7 +84,12 @@ class RegTile {
   }
 
   int h_, w_, fit_;
-  std::array<V, kMaxTileElems> a_{};
+  /// Capacity for the largest tile; only the h x w elements in use are
+  /// constructed (zeroed), so a small tile does not pay for the whole array.
+  union Storage {
+    Storage() {}
+    V a[kMaxTileElems];
+  } s_;
 };
 
 }  // namespace regla::simt

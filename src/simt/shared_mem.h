@@ -36,10 +36,8 @@ inline constexpr std::uint32_t kWordsPerElem = (sizeof(T) + 3) / 4;
 
 }  // namespace detail
 
-/// Block-level shared-memory space: a list of typed arenas created on first
-/// allocation. All threads of a block must perform their shared allocations
-/// in the same order (the CUDA analogue: __shared__ declarations are
-/// lexically identical for every thread).
+/// Block-level shared-memory space: the block's shared arrays, laid out
+/// back to back in declaration order.
 class SharedSpace {
  public:
   struct Arena {
@@ -47,17 +45,8 @@ class SharedSpace {
     std::uint32_t base_word = 0;
   };
 
-  /// Thread-side allocation: `call_index` is the per-thread allocation
-  /// counter; the first thread to reach an index creates the arena.
-  Arena& get_or_create(int call_index, std::size_t bytes) {
-    if (call_index < static_cast<int>(arenas_.size())) {
-      Arena& a = arenas_[call_index];
-      REGLA_CHECK_MSG(a.bytes.size() == bytes,
-                      "shared allocation size mismatch across threads");
-      return a;
-    }
-    REGLA_CHECK_MSG(call_index == static_cast<int>(arenas_.size()),
-                    "shared allocations must happen in the same order in all threads");
+  /// Append a zero-filled arena of `bytes`.
+  Arena& create(std::size_t bytes) {
     Arena a;
     a.bytes.resize(bytes);
     a.base_word = next_word_;

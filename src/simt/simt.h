@@ -1,10 +1,11 @@
 // Umbrella header for the SIMT GPU simulator substrate.
 //
 // The simulator stands in for the paper's NVIDIA Quadro 6000 (GF100): it runs
-// kernels functionally (real numbers, via cooperative fibers) and produces
-// cycle-accurate-*style* timing from a mechanism-level cost model (issue
-// throughput, bank conflicts, coalescing, occupancy, register spilling,
-// structured DRAM latency). See DESIGN.md §1 and §3.
+// kernels functionally (real numbers, each block as barrier-delimited phases
+// over its lanes) and produces cycle-accurate-*style* timing from a
+// mechanism-level cost model (issue throughput, bank conflicts, coalescing,
+// occupancy, register spilling, structured DRAM latency). See DESIGN.md §1
+// and §3.
 #pragma once
 
 #include "simt/block_ctx.h"     // IWYU pragma: export

@@ -449,6 +449,36 @@ TEST(RuntimeRagged, PaddedSolveMatchesCpuOraclePerSubProblem) {
   rt.shutdown();
 }
 
+// Identity padding takes data-dependent branches (QR skips the padding's
+// zero sub-columns), so a padded batch must not replay the accounting of an
+// earlier batch with the same tile but other member shapes: the reported
+// counters match a runtime that simulates every launch.
+TEST(RuntimeRagged, PaddedBatchesAreNotReplayedAcrossShapes) {
+  const auto second_batch_flops = [](bool replay) {
+    RuntimeOptions opt;
+    opt.workers = 1;
+    opt.host_threads_per_stream = 1;
+    opt.max_batch_delay = 10s;
+    opt.ragged = true;
+    opt.replay = replay;
+    Runtime rt(opt);
+    std::uint64_t flops = 0;
+    for (int small : {5, 7}) {  // two batches on the 8x8 tile
+      BatchF a8(1, 8, 8), as(1, small, small);
+      fill_uniform(a8, 3);
+      fill_uniform(as, 4);
+      auto f8 = rt.submit(Op::qr, std::move(a8));
+      auto fs = rt.submit(Op::qr, std::move(as));
+      rt.flush();
+      flops = f8.get().counters.flops;
+      EXPECT_EQ(fs.get().coalesced_requests, 2);
+    }
+    rt.shutdown();
+    return flops;
+  };
+  EXPECT_EQ(second_batch_flops(true), second_batch_flops(false));
+}
+
 // Same exactness through the tall path: ragged least-squares problems of
 // mixed m x n match the cpu oracle's solutions.
 TEST(RuntimeRagged, PaddedLeastSquaresMatchesCpuOracle) {

@@ -2,10 +2,14 @@
 // instrumentation, occupancy plumbing, determinism.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/generators.h"
+#include "core/per_block.h"
 #include "simt/simt.h"
 
 namespace regla::simt {
@@ -20,7 +24,7 @@ TEST(Engine, EveryThreadOfEveryBlockRuns) {
   spec.threads = 32;
   dev.launch(spec, [=](BlockCtx& ctx) {
     auto g = ctx.global(h);
-    g.st(ctx.block() * 32 + ctx.tid(), 1);
+    ctx.lanes([&](int t) { g.st(ctx.block() * 32 + t, 1); });
   });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 4 * 32);
 }
@@ -36,11 +40,13 @@ TEST(Engine, BarrierOrdersPhases) {
   int* op = out.data();
   dev.launch(spec, [=](BlockCtx& ctx) {
     auto sh = ctx.shared<int>(64);
-    sh.st(ctx.tid(), ctx.tid() * 10);
+    ctx.lanes([&](int t) { sh.st(t, t * 10); });
     ctx.sync();
-    const int neighbor = sh.ld((ctx.tid() + 1) % 64);
     auto g = ctx.global(op);
-    g.st(ctx.block() * 64 + ctx.tid(), neighbor);
+    ctx.lanes([&](int t) {
+      const int neighbor = sh.ld((t + 1) % 64);
+      g.st(ctx.block() * 64 + t, neighbor);
+    });
   });
   for (int b = 0; b < 2; ++b)
     for (int t = 0; t < 64; ++t) EXPECT_EQ(out[b * 64 + t], ((t + 1) % 64) * 10);
@@ -54,13 +60,19 @@ TEST(Engine, ManyBarriersAllArrive) {
   int* fv = final_val.data();
   auto res = dev.launch(spec, [=](BlockCtx& ctx) {
     auto sh = ctx.shared<int>(1);
-    if (ctx.tid() == 0) sh.st(0, 0);
+    ctx.lanes([&](int t) {
+      if (t == 0) sh.st(0, 0);
+    });
     ctx.sync();
     for (int i = 0; i < 10; ++i) {
-      if (ctx.tid() == i % ctx.nthreads()) sh.st(0, sh.ld(0) + 1);
+      ctx.lanes([&](int t) {
+        if (t == i % ctx.nthreads()) sh.st(0, sh.ld(0) + 1);
+      });
       ctx.sync();
     }
-    if (ctx.tid() == 0) ctx.global(fv).st(0, sh.ld(0));
+    ctx.lanes([&](int t) {
+      if (t == 0) ctx.global(fv).st(0, sh.ld(0));
+    });
   });
   EXPECT_EQ(final_val[0], 10);
   EXPECT_EQ(res.totals.syncs, 11u);
@@ -72,18 +84,112 @@ TEST(Engine, EarlyExitThreadsDoNotBlockBarriers) {
   spec.threads = 64;
   std::vector<int> count(1, 0);
   int* cp = count.data();
-  dev.launch(spec, [=](BlockCtx& ctx) {
-    if (ctx.tid() >= 32) return;  // half the block leaves immediately
+  const auto res = dev.launch(spec, [=](BlockCtx& ctx) {
     auto sh = ctx.shared<int>(32);
-    sh.st(ctx.tid(), 1);
+    ctx.lanes([&](int t) {
+      if (t >= 32) return ctx.retire();  // half the block leaves immediately
+      sh.st(t, 1);
+    });
     ctx.sync();
-    if (ctx.tid() == 0) {
-      int total = 0;
-      for (int i = 0; i < 32; ++i) total += sh.ld(i);
-      ctx.global(cp).st(0, total);
-    }
+    ctx.lanes([&](int t) {
+      EXPECT_LT(t, 32) << "a retired lane ran a later phase";
+      if (t == 0) {
+        int total = 0;
+        for (int i = 0; i < 32; ++i) total += sh.ld(i);
+        ctx.global(cp).st(0, total);
+      }
+    });
   });
   EXPECT_EQ(count[0], 32);
+  EXPECT_EQ(res.totals.syncs, 1u);
+}
+
+TEST(Engine, SamePhaseSharedWritesSeenInAscendingTidOrder) {
+  // Within one phase lane t runs after lanes 0..t-1 and before t+1..: it sees
+  // its lower neighbor's write and not yet its upper neighbor's.
+  Device dev;
+  LaunchSpec spec;
+  spec.threads = 64;
+  std::vector<int> below(64, -1), above(64, -1);
+  int* bp = below.data();
+  int* ap = above.data();
+  dev.launch(spec, [=](BlockCtx& ctx) {
+    auto sh = ctx.shared<int>(65);
+    auto gb = ctx.global(bp);
+    auto ga = ctx.global(ap);
+    ctx.lanes([&](int t) {
+      sh.st(t + 1, t + 1);
+      gb.st(t, sh.ld(t));
+      ga.st(t, t + 2 <= 64 ? sh.ld(t + 2) : 0);
+    });
+  });
+  for (int t = 0; t < 64; ++t) {
+    EXPECT_EQ(below[t], t) << t;  // lane t-1's write (or the zero fill)
+    EXPECT_EQ(above[t], 0) << t;  // lane t+1 has not run yet
+  }
+}
+
+/// A QR batch's outputs and launch result, for bitwise comparisons.
+struct QrRun {
+  BatchF a, taus;
+  LaunchResult res;
+};
+QrRun run_qr(Device& dev) {
+  QrRun out{BatchF(6, 16, 16), BatchF(), {}};
+  fill_uniform(out.a, 7);
+  out.res = core::qr_per_block(dev, out.a, &out.taus).launch;
+  return out;
+}
+
+void expect_same(const QrRun& x, const QrRun& y) {
+  ASSERT_EQ(x.a.size(), y.a.size());
+  EXPECT_EQ(0, std::memcmp(x.a.data(), y.a.data(), x.a.bytes()));
+  EXPECT_EQ(0, std::memcmp(x.taus.data(), y.taus.data(), x.taus.bytes()));
+  EXPECT_EQ(x.res.chip_cycles, y.res.chip_cycles);
+  EXPECT_EQ(x.res.totals.flops, y.res.totals.flops);
+  EXPECT_EQ(x.res.totals.sh_accesses, y.res.totals.sh_accesses);
+  EXPECT_EQ(x.res.totals.syncs, y.res.totals.syncs);
+  ASSERT_EQ(x.res.breakdown.size(), y.res.breakdown.size());
+  for (std::size_t i = 0; i < x.res.breakdown.size(); ++i)
+    EXPECT_EQ(x.res.breakdown[i].cycles, y.res.breakdown[i].cycles);
+}
+
+TEST(Engine, LaneErrorLeavesLaunchAndDeviceStaysExact) {
+  for (int workers : {1, 3}) {
+    Device fresh;
+    fresh.set_host_workers(workers);
+    const QrRun want = run_qr(fresh);
+
+    Device dev;
+    dev.set_host_workers(workers);
+    LaunchSpec spec;
+    spec.blocks = 4;
+    spec.threads = 32;
+    try {
+      dev.launch(spec, [](BlockCtx& ctx) {
+        auto sh = ctx.shared<float>(32);
+        auto tile = ctx.lane_state<RegTile<gfloat>>(
+            [&](int) { return ctx.reg_tile<gfloat>(4, 4); });
+        ctx.lanes([&](int t) {
+          tile[t].set(0, 0, gfloat(1.0f));
+          sh.st(t, gfloat(2.0f));
+        });
+        ctx.sync();
+        ctx.lanes([&](int t) {
+          // Lane 5 of block 2 fails mid-phase, after its siblings started.
+          REGLA_CHECK_MSG(!(ctx.block() == 2 && t == 5), "lane 5 gave up");
+          sh.st(t, sh.ld(t) + tile[t].get(0, 0));
+        });
+        ctx.sync();
+      });
+      ADD_FAILURE() << "the lane's error did not leave launch()";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("lane 5 gave up"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(current_stats(), nullptr);
+    expect_same(run_qr(dev), want);
+  }
 }
 
 TEST(Engine, SharedAllocationSizeMismatchThrows) {
@@ -92,8 +198,11 @@ TEST(Engine, SharedAllocationSizeMismatchThrows) {
   spec.threads = 2;
   EXPECT_THROW(dev.launch(spec,
                           [](BlockCtx& ctx) {
-                            // Thread-dependent allocation size: illegal.
-                            ctx.shared<float>(ctx.tid() == 0 ? 8 : 16);
+                            // Thread-dependent allocation size: illegal, so
+                            // shared arrays cannot be declared per lane.
+                            ctx.lanes([&](int t) {
+                              ctx.shared<float>(t == 0 ? 8 : 16);
+                            });
                           }),
                Error);
 }
@@ -104,12 +213,13 @@ TEST(Engine, FlopCountsMatchKernelArithmetic) {
   spec.blocks = 3;
   spec.threads = 16;
   auto res = dev.launch(spec, [](BlockCtx& ctx) {
-    (void)ctx;
-    gfloat acc(0.0f);
-    for (int i = 0; i < 10; ++i) acc = gfma(acc, gfloat(1.5f), gfloat(0.5f));
-    gfloat d = acc / gfloat(2.0f);
-    gfloat s = gsqrt(d);
-    (void)s;
+    ctx.lanes([](int) {
+      gfloat acc(0.0f);
+      for (int i = 0; i < 10; ++i) acc = gfma(acc, gfloat(1.5f), gfloat(0.5f));
+      gfloat d = acc / gfloat(2.0f);
+      gfloat s = gsqrt(d);
+      (void)s;
+    });
   });
   // 3 blocks * 16 threads * (10 FMA = 20 flops + 1 div + 1 sqrt).
   EXPECT_EQ(res.totals.flops, 3u * 16u * 22u);
@@ -125,8 +235,10 @@ TEST(Engine, GlobalBytesCounted) {
   spec.threads = 128;
   auto res = dev.launch(spec, [=](BlockCtx& ctx) {
     auto g = ctx.global(xp);
-    gfloat v = g.ld(ctx.tid());
-    g.st(512 + ctx.tid(), v);
+    ctx.lanes([&](int t) {
+      gfloat v = g.ld(t);
+      g.st(512 + t, v);
+    });
   });
   EXPECT_EQ(res.totals.gl_bytes, 128u * 2u * 4u);
 }
@@ -137,11 +249,16 @@ TEST(Engine, TagBreakdownCoversAllCycles) {
   spec.threads = 32;
   auto res = dev.launch(spec, [](BlockCtx& ctx) {
     ctx.tag(OpTag::form_hh);
-    gfloat a = gfloat(1.0f) + gfloat(2.0f);
+    ctx.lanes([](int) {
+      gfloat a = gfloat(1.0f) + gfloat(2.0f);
+      (void)a;
+    });
     ctx.sync();
     ctx.tag(OpTag::rank1);
-    gfloat b = a * a;
-    (void)b;
+    ctx.lanes([](int) {
+      gfloat b = gfloat(3.0f) * gfloat(3.0f);
+      (void)b;
+    });
   });
   double tagged = 0;
   for (const auto& t : res.breakdown) tagged += t.cycles;
@@ -184,8 +301,10 @@ TEST(Engine, DeterministicAcrossHostWorkerCounts) {
     spec.threads = 32;
     dev.launch(spec, [=](BlockCtx& ctx) {
       auto g = ctx.global(dp);
-      const int i = ctx.block() * 32 + ctx.tid();
-      g.st(i, (gfloat(static_cast<float>(i)) / gfloat(7.0f)).value());
+      ctx.lanes([&](int t) {
+        const int i = ctx.block() * 32 + t;
+        g.st(i, (gfloat(static_cast<float>(i)) / gfloat(7.0f)).value());
+      });
     });
   }
   EXPECT_EQ(data1, data2);
@@ -201,10 +320,14 @@ TEST(Engine, TimingDeterministicAcrossRuns) {
         .launch(spec,
                 [](BlockCtx& ctx) {
                   auto sh = ctx.shared<float>(64);
-                  sh.st(ctx.tid(), gfloat(1.0f) * gfloat(2.0f));
+                  ctx.lanes([&](int t) {
+                    sh.st(t, gfloat(1.0f) * gfloat(2.0f));
+                  });
                   ctx.sync();
-                  gfloat v = sh.ld((ctx.tid() * 7) % 64);
-                  (void)v;
+                  ctx.lanes([&](int t) {
+                    gfloat v = sh.ld((t * 7) % 64);
+                    (void)v;
+                  });
                 })
         .chip_cycles;
   };
@@ -216,14 +339,18 @@ TEST(Engine, SpillChargedBeyondRegisterBudget) {
   LaunchSpec spec;
   spec.threads = 1;
   auto res_small = dev.launch(spec, [](BlockCtx& ctx) {
-    auto t = ctx.reg_tile<gfloat>(7, 7);  // 49 words: fits 64 - 15
-    for (int i = 0; i < 7; ++i)
-      for (int j = 0; j < 7; ++j) t.set(i, j, gfloat(1.0f));
+    ctx.lanes([&](int) {
+      auto t = ctx.reg_tile<gfloat>(7, 7);  // 49 words: fits 64 - 15
+      for (int i = 0; i < 7; ++i)
+        for (int j = 0; j < 7; ++j) t.set(i, j, gfloat(1.0f));
+    });
   });
   auto res_big = dev.launch(spec, [](BlockCtx& ctx) {
-    auto t = ctx.reg_tile<gfloat>(10, 10);  // 100 words: 51 spill
-    for (int i = 0; i < 10; ++i)
-      for (int j = 0; j < 10; ++j) t.set(i, j, gfloat(1.0f));
+    ctx.lanes([&](int) {
+      auto t = ctx.reg_tile<gfloat>(10, 10);  // 100 words: 51 spill
+      for (int i = 0; i < 10; ++i)
+        for (int j = 0; j < 10; ++j) t.set(i, j, gfloat(1.0f));
+    });
   });
   EXPECT_EQ(res_small.totals.spill_bytes, 0u);
   EXPECT_EQ(res_big.totals.spill_bytes, 51u * 4u);
@@ -253,10 +380,11 @@ TEST(Engine, DramFloorBoundsBandwidth) {
   auto res = dev.launch(spec, [=](BlockCtx& ctx) {
     auto gx = ctx.global(xp);
     auto gy = ctx.global(yp);
-    const std::size_t lane =
-        static_cast<std::size_t>(ctx.block()) * 256 + ctx.tid();
-    for (std::size_t i = 0; i < per_thread; ++i)
-      gy.st(lane + i * 112 * 256, gx.ld(lane + i * 112 * 256));
+    ctx.lanes([&](int t) {
+      const std::size_t lane = static_cast<std::size_t>(ctx.block()) * 256 + t;
+      for (std::size_t i = 0; i < per_thread; ++i)
+        gy.st(lane + i * 112 * 256, gx.ld(lane + i * 112 * 256));
+    });
   });
   EXPECT_LE(res.dram_gbs(), dev.config().dram_achievable_gbs * 1.01);
   EXPECT_GT(res.dram_gbs(), dev.config().dram_achievable_gbs * 0.8);

@@ -54,7 +54,9 @@ std::set<int> launch_marking(simt::Device& dev, int blocks,
   int* h = hits.data();
   const simt::LaunchResult res =
       dev.launch(tiny_spec(blocks), [=](simt::BlockCtx& ctx) {
-        if (ctx.tid() == 0) ctx.global(h).st(ctx.block(), 1);
+        ctx.lanes([&](int t) {
+          if (t == 0) ctx.global(h).st(ctx.block(), 1);
+        });
       });
   if (out) *out = res;
   std::set<int> ran;

@@ -144,7 +144,9 @@ TEST(StatsTruncation, LaunchExportsTruncationCounter) {
   const int over = static_cast<int>(ThreadStats::kAddrCap) + 100;
   const auto res = dev.launch(spec, [=](BlockCtx& ctx) {
     auto sh = ctx.shared<int>(4);
-    for (int i = 0; i < over; ++i) sh.st(i % 4, i);
+    ctx.lanes([&](int) {
+      for (int i = 0; i < over; ++i) sh.st(i % 4, i);
+    });
   });
   EXPECT_GE(res.totals.addr_truncations, 1u);
   EXPECT_GE(obs::counter("engine.addr_truncations").value(), 1u);
@@ -153,7 +155,7 @@ TEST(StatsTruncation, LaunchExportsTruncationCounter) {
   obs::counter("engine.addr_truncations").reset();
   const auto small = dev.launch(spec, [](BlockCtx& ctx) {
     auto sh = ctx.shared<int>(4);
-    sh.st(0, 1);
+    ctx.lanes([&](int) { sh.st(0, 1); });
   });
   EXPECT_EQ(small.totals.addr_truncations, 0u);
   EXPECT_EQ(obs::counter("engine.addr_truncations").value(), 0u);
