@@ -161,8 +161,8 @@ RunResult run(int n, double rate_rps, bool coalesce, int requests,
   r.wall_pps = problems / seconds;
   r.device_pps = st.device_seconds > 0 ? problems / st.device_seconds : 0;
   r.mean_batch = st.mean_batch();
-  r.p50_ms = st.p50_ms();
-  r.p99_ms = st.p99_ms();
+  r.p50_ms = st.p50_ms;
+  r.p99_ms = st.p99_ms;
   return r;
 }
 
@@ -313,7 +313,7 @@ RaggedResult run_ragged(bool ragged, double rate_rps, int requests) {
   r.offered_rps = requests / gen_seconds;
   r.device_pps = st.device_seconds > 0 ? problems / st.device_seconds : 0;
   r.mean_batch = st.mean_batch();
-  r.p99_ms = st.p99_ms();
+  r.p99_ms = st.p99_ms;
   r.ragged_batches = st.ragged_batches;
   return r;
 }
@@ -415,8 +415,8 @@ int alloc_audit(bool smoke) {
           regla::obs::counter_value("runtime.payload_allocs")),
       static_cast<unsigned long long>(
           regla::obs::counter_value("runtime.payload_reuses")),
-      static_cast<unsigned long long>(
-          regla::obs::counter_value("runtime.payload_bytes_copied")));
+      static_cast<unsigned long long>(regla::obs::counter_value(
+          "runtime.payload_bytes_copied", rt.metric_labels())));
   return allocs_per_request <= 0.05 ? 0 : 1;
 }
 

@@ -122,8 +122,8 @@ void print_stats(const runtime::RuntimeStats& st, const FleetResult& r) {
                   st.flushed(runtime::FlushReason::deadline)),
               static_cast<unsigned long long>(
                   st.flushed(runtime::FlushReason::shutdown)));
-  std::printf("latency:          p50 %.2f ms, p99 %.2f ms\n", st.p50_ms(),
-              st.p99_ms());
+  std::printf("latency:          p50 %.2f ms, p99 %.2f ms\n", st.p50_ms,
+              st.p99_ms);
   std::printf("payloads:         %llu slab allocs, %llu lease reuses; "
               "%llu view / %llu staged batches, %llu bytes copied\n",
               static_cast<unsigned long long>(st.payload_allocs),

@@ -1,5 +1,5 @@
 // Minimal JSON string escaping, shared by every trace/metrics writer in the
-// tree (the chrome-trace exporters, obs::dump). Kernel and span names are
+// tree (the obs chrome-trace exporter, obs::dump). Kernel and span names are
 // caller-supplied strings; emitting them unescaped produces invalid JSON the
 // moment one contains a quote or backslash.
 #pragma once

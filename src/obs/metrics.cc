@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <vector>
+#include <string>
 
 #include "common/error.h"
 
@@ -148,16 +149,6 @@ std::uint64_t counter_value(std::string_view name, std::string_view labels) {
   const auto it = r.by_key.find(key);
   if (it == r.by_key.end() || it->second->kind != Kind::counter) return 0;
   return it->second->counter.value();
-}
-
-std::map<std::string, double> gauges_snapshot() {
-  Registry& r = registry();
-  std::map<std::string, double> out;
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (const auto& [key, instr] : r.by_key)
-    if (instr->kind == Kind::gauge && instr->gauge.is_set())
-      out[key] = instr->gauge.value();
-  return out;
 }
 
 void reset_all() {

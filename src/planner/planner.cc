@@ -1,6 +1,7 @@
 #include "planner/planner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -11,7 +12,6 @@
 #include "planner/op_traits.h"
 #include "simt/occupancy.h"
 #include "simt/reg_tile.h"
-#include "simt/stats.h"
 
 namespace regla::planner {
 
@@ -255,7 +255,21 @@ void enumerate(const regla::simt::DeviceConfig& cfg, const ProblemDesc& d,
 
 }  // namespace
 
-Planner::Planner(Options opt) : opt_(opt), cache_(opt.cache_capacity) {}
+namespace {
+/// Process-wide Planner construction ordinal (the k of planner=<k>).
+std::atomic<int> g_next_planner{0};
+}  // namespace
+
+Planner::Planner(Options opt)
+    : opt_(opt),
+      labels_("planner=" + std::to_string(g_next_planner++)),
+      cache_hits_(obs::gauge("planner.cache_hits", labels_)),
+      cache_misses_(obs::gauge("planner.cache_misses", labels_)),
+      plans_built_(obs::gauge("planner.plans_built", labels_)),
+      autotune_runs_(obs::gauge("planner.autotune_runs", labels_)),
+      model_error_mean_(obs::gauge("planner.model_error_mean", labels_)),
+      model_error_last_(obs::gauge("planner.model_error_last", labels_)),
+      cache_(opt.cache_capacity) {}
 
 std::uint64_t Planner::config_fingerprint(const regla::simt::DeviceConfig& cfg) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a
@@ -358,7 +372,7 @@ Plan Planner::build_plan(const regla::simt::DeviceConfig& cfg,
     if (best.autotuned) {
       stats_.model_error_sum += best.model_rel_error;
       ++stats_.model_error_count;
-      regla::simt::stat_set("planner.model_error_last", best.model_rel_error);
+      model_error_last_.set(best.model_rel_error);
     }
   }
   return best;
@@ -368,7 +382,7 @@ Plan Planner::plan(const regla::simt::DeviceConfig& cfg,
                    const ProblemDesc& desc) {
   const PlanCache::Key key{desc, config_fingerprint(cfg)};
   if (std::optional<Plan> hit = cache_.find(key)) {
-    export_stats();
+    publish_gauges();
     return *hit;
   }
   // Build outside any lock: autotune runs real (simulated) launches. Two
@@ -382,7 +396,7 @@ Plan Planner::plan(const regla::simt::DeviceConfig& cfg,
     ++stats_.plans_built;
   }
   cache_.insert(key, built);
-  export_stats();
+  publish_gauges();
   return built;
 }
 
@@ -410,20 +424,16 @@ void Planner::clear() {
     std::lock_guard<std::mutex> lock(mutex_);
     stats_ = PlannerStats{};
   }
-  export_stats();
+  publish_gauges();
 }
 
-void Planner::export_stats() const {
+void Planner::publish_gauges() const {
   const PlannerStats s = stats();
-  regla::simt::stat_set("planner.cache_hits",
-                        static_cast<double>(s.cache_hits));
-  regla::simt::stat_set("planner.cache_misses",
-                        static_cast<double>(s.cache_misses));
-  regla::simt::stat_set("planner.plans_built",
-                        static_cast<double>(s.plans_built));
-  regla::simt::stat_set("planner.autotune_runs",
-                        static_cast<double>(s.autotune_runs));
-  regla::simt::stat_set("planner.model_error_mean", s.mean_model_error());
+  cache_hits_.set(static_cast<double>(s.cache_hits));
+  cache_misses_.set(static_cast<double>(s.cache_misses));
+  plans_built_.set(static_cast<double>(s.plans_built));
+  autotune_runs_.set(static_cast<double>(s.autotune_runs));
+  model_error_mean_.set(s.mean_model_error());
 }
 
 }  // namespace regla::planner

@@ -19,24 +19,26 @@
 // 64 -> 256 thread switch at n = 80 (Fig. 9), tiled beyond one block.
 //
 // Optional autotune mode runs the top-k model candidates on the simulated
-// device once per signature, keeps the measured winner, and exports the
-// model-vs-measured cycle error through simt::stats — the paper's
-// predicted-vs-measured validation (Tables IV/V), live in production.
+// device once per signature, keeps the measured winner, and publishes the
+// model-vs-measured cycle error as the planner.model_error_* gauges — the
+// paper's predicted-vs-measured validation (Tables IV/V), live in production.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "planner/plan.h"
 #include "planner/plan_cache.h"
 #include "simt/device_config.h"
 
 namespace regla::planner {
 
-/// Cumulative planner health counters (also mirrored into simt::stats under
-/// "planner.*").
+/// Cumulative planner health counters (also published as "planner.*" obs
+/// gauges under the planner's own label, Planner::metric_labels()).
 struct PlannerStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -96,6 +98,11 @@ class Planner {
   PlannerStats stats() const;
   void clear();  ///< drop the cache and reset counters
 
+  /// The label ("planner=<k>", k = process-wide construction ordinal) on this
+  /// planner's obs gauges: planner.cache_hits, .cache_misses, .plans_built,
+  /// .autotune_runs, .model_error_mean and .model_error_last.
+  const std::string& metric_labels() const { return labels_; }
+
   Options options() const { return opt_; }
 
   /// The underlying memo (thread-safe; shared by every caller of plan()).
@@ -110,9 +117,17 @@ class Planner {
  private:
   Plan build_plan(const regla::simt::DeviceConfig& cfg,
                   const ProblemDesc& desc);
-  void export_stats() const;  // takes its own snapshots; call without mutex_
+  void publish_gauges() const;  // takes its own snapshots; call without mutex_
 
   Options opt_;
+  std::string labels_;
+  /// The obs gauges behind metric_labels(), resolved once at construction.
+  obs::Gauge& cache_hits_;
+  obs::Gauge& cache_misses_;
+  obs::Gauge& plans_built_;
+  obs::Gauge& autotune_runs_;
+  obs::Gauge& model_error_mean_;
+  obs::Gauge& model_error_last_;
   MeasureFn measure_;
 
   PlanCache cache_;

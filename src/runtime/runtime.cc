@@ -1,7 +1,7 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-#include <cmath>
+#include <atomic>
 #include <cstring>
 #include <utility>
 
@@ -10,42 +10,53 @@
 #include "obs/trace.h"
 #include "ops/registry.h"
 #include "planner/op_traits.h"
-#include "simt/stats.h"
 
 namespace regla::runtime {
 
+/// Every instrument a Runtime writes, resolved once under its runtime=<k>
+/// label. These are the only store of the runtime's counts: an event bumps
+/// cached references, with no lock and no registry lookup.
+struct Runtime::Metrics {
+  std::string labels;
+  obs::Counter& requests = obs::counter("runtime.requests", labels);
+  obs::Counter& problems = obs::counter("runtime.problems", labels);
+  obs::Counter& rejected = obs::counter("runtime.rejected", labels);
+  obs::Counter& batches = obs::counter("runtime.batches", labels);
+  obs::Counter& coalesced_problems =
+      obs::counter("runtime.coalesced_problems", labels);
+  obs::Counter* flushes[kNumFlushReasons] = {
+      &obs::counter("runtime.flush_size", labels),
+      &obs::counter("runtime.flush_deadline", labels),
+      &obs::counter("runtime.flush_manual", labels),
+      &obs::counter("runtime.flush_shutdown", labels)};
+  obs::Counter& isolation_retries =
+      obs::counter("runtime.isolation_retries", labels);
+  obs::Counter& failed_requests =
+      obs::counter("runtime.failed_requests", labels);
+  obs::Counter& fulfilled = obs::counter("runtime.fulfilled", labels);
+  obs::Counter& retries = obs::counter("runtime.retries", labels);
+  obs::Counter& shed = obs::counter("runtime.shed", labels);
+  obs::Counter& deadline_exceeded =
+      obs::counter("runtime.deadline_exceeded", labels);
+  obs::Counter& fallback_cpu = obs::counter("runtime.fallback_cpu", labels);
+  obs::Counter& circuit_opens = obs::counter("runtime.circuit_opens", labels);
+  obs::Counter& reroutes = obs::counter("runtime.reroutes", labels);
+  obs::Counter& no_device = obs::counter("runtime.no_device", labels);
+  obs::Counter& payload_bytes_copied =
+      obs::counter("runtime.payload_bytes_copied", labels);
+  obs::Counter& view_batches = obs::counter("runtime.view_batches", labels);
+  obs::Counter& staged_batches = obs::counter("runtime.staged_batches", labels);
+  obs::Counter& ragged_batches = obs::counter("runtime.ragged_batches", labels);
+  obs::Gauge& device_seconds = obs::gauge("runtime.device_seconds", labels);
+  obs::Histogram& latency_us = obs::histogram("runtime.latency_us", labels);
+  obs::Histogram& batch_problems =
+      obs::histogram("runtime.batch_problems", labels);
+};
+
 namespace {
-
-int latency_bucket(double microseconds) {
-  if (microseconds <= 1.0) return 0;
-  const int i = static_cast<int>(std::lround(2.0 * std::log2(microseconds)));
-  return std::clamp(i, 0, RuntimeStats::kLatencyBuckets - 1);
-}
-
-double latency_bucket_upper_ms(int i) {
-  return std::pow(2.0, i / 2.0) / 1000.0;  // bucket bound in us -> ms
-}
-
-int batch_bucket(int problems) {
-  int i = 0;
-  while ((1 << (i + 1)) <= problems && i < RuntimeStats::kBatchBuckets - 1) ++i;
-  return i;
-}
-
+/// Process-wide Runtime construction ordinal (the k of runtime=<k>).
+std::atomic<int> g_next_runtime{0};
 }  // namespace
-
-double RuntimeStats::latency_quantile_ms(double q) const {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : latency_hist) total += c;
-  if (total == 0) return 0;
-  const double rank = q * static_cast<double>(total - 1);
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    seen += latency_hist[i];
-    if (static_cast<double>(seen) > rank) return latency_bucket_upper_ms(i);
-  }
-  return latency_bucket_upper_ms(kLatencyBuckets - 1);
-}
 
 std::size_t SignatureHash::operator()(const Signature& s) const {
   std::uint64_t h = 1469598103934665603ull;
@@ -67,7 +78,8 @@ Runtime::Runtime(Options opt)
       wheel_(Clock::now(), opt_.timer_granularity <= decltype(opt_.timer_granularity){0}
                                ? std::chrono::microseconds{100}
                                : opt_.timer_granularity,
-             std::max<std::size_t>(1, opt_.timer_slots)) {
+             std::max<std::size_t>(1, opt_.timer_slots)),
+      metrics_(new Metrics{"runtime=" + std::to_string(g_next_runtime++)}) {
   REGLA_CHECK_MSG(!opt_.planner.autotune,
                   "runtime streams share one planner; autotune measurement "
                   "would race across their devices — plan without it");
@@ -280,17 +292,12 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
            static_cast<int>(opt_.max_queue_problems)) {
       if (!blocking) {
         *rejected = true;
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.rejected;
+        metrics_->rejected.add();
         return {};
       }
       if (opt_.shed_on_saturation) {
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.shed;
-          ++stats_.failed_requests;
-        }
-        obs::counter("runtime.shed").add();
+        metrics_->shed.add();
+        metrics_->failed_requests.add();
         return failed_future(QueueSaturated(
             "queue saturated: " + std::to_string(q.pending_problems) +
             " problems pending (bound " +
@@ -310,12 +317,8 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
       if (!spaced) {
         // Deadline passed while blocked on backpressure: the request was
         // never admitted, and it must not resolve late and silently.
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.deadline_exceeded;
-          ++stats_.failed_requests;
-        }
-        obs::counter("runtime.deadline_exceeded").add();
+        metrics_->deadline_exceeded.add();
+        metrics_->failed_requests.add();
         return failed_future(DeadlineExceeded(
             "deadline expired while blocked on a saturated queue"));
       }
@@ -331,11 +334,8 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
     q.pending.push_back(std::move(pending));
     q.pending_problems += k;
     if (abs_deadline < q.min_deadline) q.min_deadline = abs_deadline;
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.requests;
-      stats_.problems += static_cast<std::uint64_t>(k);
-    }
+    metrics_->requests.add();
+    metrics_->problems.add(static_cast<std::uint64_t>(k));
 
     if (opt_.max_batch_delay.count() == 0) {
       // Zero delay = no coalescing: the deadline expires on arrival.
@@ -480,21 +480,20 @@ SolveReport Runtime::solve_one(fleet::Stream& s, const Signature& sig,
 }
 
 void Runtime::fail_deadline(Pending& req) {
-  bool delivered = true;
+  if (fail(req, std::make_exception_ptr(DeadlineExceeded(
+                    "deadline exceeded before the result could be delivered"))))
+    metrics_->deadline_exceeded.add();
+}
+
+bool Runtime::fail(Pending& req, std::exception_ptr err) {
   try {
-    req.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-        "deadline exceeded before the result could be delivered")));
+    req.promise.set_exception(std::move(err));
   } catch (const std::future_error&) {
-    delivered = false;  // already satisfied on another path
+    return false;  // already satisfied on another path
   }
-  if (!delivered) return;
   record_latency(req.enqueued);
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.deadline_exceeded;
-    ++stats_.failed_requests;
-  }
-  obs::counter("runtime.deadline_exceeded").add();
+  metrics_->failed_requests.add();
+  return true;
 }
 
 SolveReport Runtime::solve_cpu(cpu::ThreadPool& pool, const Signature& sig,
@@ -503,11 +502,7 @@ SolveReport Runtime::solve_cpu(cpu::ThreadPool& pool, const Signature& sig,
   // as the device path. Shows on the trace as its own span so a degraded
   // period is visible at a glance.
   obs::Span span("runtime.fallback-cpu", "runtime");
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.fallback_cpu;
-  }
-  obs::counter("runtime.fallback_cpu").add();
+  metrics_->fallback_cpu.add();
   ops::Call call;
   if (p.is_complex) {
     call.ca = &p.ca;
@@ -610,11 +605,7 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Signature& sig,
       if (restore) restore();
       if (attempt < opt_.max_retries) {
         outcome.retries = ++attempt;
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.retries;
-        }
-        obs::counter("runtime.retries").add();
+        metrics_->retries.add();
         auto backoff = opt_.retry_backoff * (1ll << std::min(attempt - 1, 20));
         if (backoff > opt_.retry_backoff_cap) backoff = opt_.retry_backoff_cap;
         if (backoff.count() > 0) {
@@ -625,13 +616,7 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Signature& sig,
       }
       // Retries exhausted here: advance this device's breaker, then try to
       // re-route the batch to a different fleet member before degrading.
-      if (fleet_->record_exhausted(lease)) {
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.circuit_opens;
-        }
-        obs::counter("runtime.circuit_opens").add();
-      }
+      if (fleet_->record_exhausted(lease)) metrics_->circuit_opens.add();
       const int failed_id = lease.device_id();
       if (failed_id >= 0 && failed_id < 64) exclude |= 1ull << failed_id;
       // Release the dead device's stream BEFORE re-acquiring: acquire blocks
@@ -646,11 +631,7 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Signature& sig,
         lease = std::move(*next);
         outcome.device_id = lease.device_id();
         outcome.device = lease.device_name();
-        {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.reroutes;
-        }
-        obs::counter("runtime.reroutes").add();
+        metrics_->reroutes.add();
         attempt = 0;  // a fresh device gets the full retry budget
         continue;
       }
@@ -833,9 +814,7 @@ void Runtime::gather(const Batch& batch, Assembled& as) {
       off += ra.count();
     }
   }
-  obs::counter("runtime.payload_bytes_copied").add(copied);
-  std::lock_guard<std::mutex> slock(stats_mu_);
-  stats_.payload_bytes_copied += copied;
+  metrics_->payload_bytes_copied.add(copied);
 }
 
 void Runtime::scatter(const Assembled& as, Batch& batch) {
@@ -884,9 +863,7 @@ void Runtime::scatter(const Assembled& as, Batch& batch) {
       off += ra.count();
     }
   }
-  obs::counter("runtime.payload_bytes_copied").add(copied);
-  std::lock_guard<std::mutex> slock(stats_mu_);
-  stats_.payload_bytes_copied += copied;
+  metrics_->payload_bytes_copied.add(copied);
 }
 
 void Runtime::fulfill(Pending& req, const SolveReport& batch_report,
@@ -929,10 +906,9 @@ void Runtime::fulfill(Pending& req, const SolveReport& batch_report,
   r.a = std::move(req.payload.a);
   r.b = std::move(req.payload.b);
   r.ca = std::move(req.payload.ca);
-  record_latency(req.enqueued);
   req.promise.set_value(std::move(r));
-  std::lock_guard<std::mutex> slock(stats_mu_);
-  ++stats_.fulfilled;
+  record_latency(req.enqueued);
+  metrics_->fulfilled.add();
 }
 
 void Runtime::execute(Batch& batch) {
@@ -1029,20 +1005,9 @@ void Runtime::execute(Batch& batch) {
     // (solve_solo only snapshots when resilience is on, and view assembly
     // only happens when it is off). Re-solving here would silently deliver
     // results computed from corrupted input, so fail every rider with the
-    // batch's error instead: correctness over isolation.
-    for (Pending& req : batch.requests) {
-      bool delivered = true;
-      try {
-        req.promise.set_exception(batch_error);
-      } catch (const std::future_error&) {
-        delivered = false;  // fulfilled before a later fulfill() threw
-      }
-      if (delivered) {
-        record_latency(req.enqueued);
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.failed_requests;
-      }
-    }
+    // batch's error instead: correctness over isolation. (A request
+    // fulfilled before a later fulfill() threw keeps its result.)
+    for (Pending& req : batch.requests) fail(req, batch_error);
     record_batch_stats(batch, device_seconds, &as);
     return;
   }
@@ -1062,11 +1027,7 @@ void Runtime::execute(Batch& batch) {
     // Exception isolation: one bad request must not poison its batchmates.
     // Re-run each request alone; only the ones that still throw get the
     // exception on their future.
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      stats_.isolation_retries +=
-          static_cast<std::uint64_t>(batch.requests.size());
-    }
+    metrics_->isolation_retries.add(batch.requests.size());
     for (Pending& req : batch.requests) {
       try {
         if (!lease) {
@@ -1091,20 +1052,10 @@ void Runtime::execute(Batch& batch) {
         solo.requests.resize(1);  // only for the counts in the Report
         fulfill(req, r, solo, 0, started, solo_outcome);
       } catch (...) {
-        bool delivered = true;
-        try {
-          req.promise.set_exception(std::current_exception());
-        } catch (const std::future_error&) {
-          // Already satisfied: the coalesced pass fulfilled this request
-          // before a later fulfill() threw mid-scatter. The requester has
-          // its result; nothing to deliver — and it was already counted.
-          delivered = false;
-        }
-        if (delivered) {
-          record_latency(req.enqueued);
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.failed_requests;
-        }
+        // A no-op when the coalesced pass already fulfilled this request
+        // before a later fulfill() threw mid-scatter: the requester has its
+        // result, and it was already counted.
+        fail(req, std::current_exception());
       }
     }
   }
@@ -1113,26 +1064,11 @@ void Runtime::execute(Batch& batch) {
 }
 
 void Runtime::execute_no_device(Batch& batch, Clock::time_point started) {
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.no_device;
-  }
-  obs::counter("runtime.no_device").add();
+  metrics_->no_device.add();
   if (!opt_.cpu_fallback) {
-    for (Pending& req : batch.requests) {
-      bool delivered = true;
-      try {
-        req.promise.set_exception(std::make_exception_ptr(NoDeviceAvailable(
-            "no routable fleet device (all drained or removed)")));
-      } catch (const std::future_error&) {
-        delivered = false;  // already satisfied on another path
-      }
-      if (delivered) {
-        record_latency(req.enqueued);
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.failed_requests;
-      }
-    }
+    for (Pending& req : batch.requests)
+      fail(req, std::make_exception_ptr(NoDeviceAvailable(
+                    "no routable fleet device (all drained or removed)")));
     return;
   }
   // Graceful degradation with no device at all: solve per request on the
@@ -1149,17 +1085,7 @@ void Runtime::execute_no_device(Batch& batch, Clock::time_point started) {
       solo.requests.resize(1);  // only for the counts in the Report
       fulfill(req, r, solo, 0, started, outcome);
     } catch (...) {
-      bool delivered = true;
-      try {
-        req.promise.set_exception(std::current_exception());
-      } catch (const std::future_error&) {
-        delivered = false;
-      }
-      if (delivered) {
-        record_latency(req.enqueued);
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.failed_requests;
-      }
+      fail(req, std::current_exception());
     }
   }
   record_batch_stats(batch, 0);
@@ -1202,88 +1128,63 @@ void Runtime::shutdown() {
   cv_dispatch_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
   pool_.reset();  // drains any queued jobs, then joins the workers
-  std::lock_guard<std::mutex> slock(stats_mu_);
-  export_stats();
 }
 
 // --- Stats -----------------------------------------------------------------
 
 void Runtime::record_batch_stats(const Batch& batch, double device_seconds,
                                  const Assembled* as) {
-  obs::histogram("runtime.batch_problems").record(batch.problems);
-  if (batch.sig.ragged) obs::counter("runtime.ragged_batches").add();
-  if (as != nullptr) {
-    if (as->mode == AssemblyMode::view)
-      obs::counter("runtime.view_batches").add();
-    else
-      obs::counter("runtime.staged_batches").add();
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.batches;
-  stats_.coalesced_problems += static_cast<std::uint64_t>(batch.problems);
-  ++stats_.flushes[static_cast<int>(batch.reason)];
-  ++stats_.batch_hist[batch_bucket(batch.problems)];
-  stats_.device_seconds += device_seconds;
-  if (batch.sig.ragged) ++stats_.ragged_batches;
-  if (as != nullptr) {
-    if (as->mode == AssemblyMode::view)
-      ++stats_.view_batches;
-    else
-      ++stats_.staged_batches;
-  }
-  export_stats();
+  const Metrics& m = *metrics_;
+  m.batches.add();
+  m.coalesced_problems.add(static_cast<std::uint64_t>(batch.problems));
+  m.flushes[static_cast<int>(batch.reason)]->add();
+  m.batch_problems.record(batch.problems);
+  m.device_seconds.add(device_seconds);
+  if (batch.sig.ragged) m.ragged_batches.add();
+  if (as != nullptr)
+    (as->mode == AssemblyMode::view ? m.view_batches : m.staged_batches).add();
 }
 
 void Runtime::record_latency(Clock::time_point enqueued) {
-  const double us =
+  metrics_->latency_us.record(
       std::chrono::duration<double, std::micro>(Clock::now() - enqueued)
-          .count();
-  obs::histogram("runtime.latency_us").record(us);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.latency_hist[latency_bucket(us)];
+          .count());
 }
 
+const std::string& Runtime::metric_labels() const { return metrics_->labels; }
+
 RuntimeStats Runtime::stats() const {
+  const Metrics& m = *metrics_;
   RuntimeStats s;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    s = stats_;
-  }
+  s.requests = m.requests.value();
+  s.problems = m.problems.value();
+  s.rejected = m.rejected.value();
+  s.batches = m.batches.value();
+  s.coalesced_problems = m.coalesced_problems.value();
+  for (int r = 0; r < kNumFlushReasons; ++r) s.flushes[r] = m.flushes[r]->value();
+  s.isolation_retries = m.isolation_retries.value();
+  s.failed_requests = m.failed_requests.value();
+  s.fulfilled = m.fulfilled.value();
+  s.retries = m.retries.value();
+  s.shed = m.shed.value();
+  s.deadline_exceeded = m.deadline_exceeded.value();
+  s.fallback_cpu = m.fallback_cpu.value();
+  s.circuit_opens = m.circuit_opens.value();
+  s.reroutes = m.reroutes.value();
+  s.no_device = m.no_device.value();
+  s.device_seconds = m.device_seconds.value();
+  s.payload_bytes_copied = m.payload_bytes_copied.value();
+  s.view_batches = m.view_batches.value();
+  s.staged_batches = m.staged_batches.value();
+  s.ragged_batches = m.ragged_batches.value();
+  s.p50_ms = m.latency_us.percentile(0.50) / 1e3;
+  s.p99_ms = m.latency_us.percentile(0.99) / 1e3;
   // The arena keeps its own (lock-free to read) accounting; fold it into
   // the snapshot so callers see one coherent payload story.
   const Arena::Stats a = arena_->stats();
   s.payload_allocs = a.slab_allocs;
   s.payload_reuses = a.reuses;
   return s;
-}
-
-void Runtime::export_stats() const {
-  namespace ss = regla::simt;
-  ss::stat_set("runtime.requests", static_cast<double>(stats_.requests));
-  ss::stat_set("runtime.problems", static_cast<double>(stats_.problems));
-  ss::stat_set("runtime.rejected", static_cast<double>(stats_.rejected));
-  ss::stat_set("runtime.batches", static_cast<double>(stats_.batches));
-  ss::stat_set("runtime.mean_batch", stats_.mean_batch());
-  ss::stat_set("runtime.flush_size",
-               static_cast<double>(stats_.flushed(FlushReason::size)));
-  ss::stat_set("runtime.flush_deadline",
-               static_cast<double>(stats_.flushed(FlushReason::deadline)));
-  ss::stat_set("runtime.flush_manual",
-               static_cast<double>(stats_.flushed(FlushReason::manual)));
-  ss::stat_set("runtime.flush_shutdown",
-               static_cast<double>(stats_.flushed(FlushReason::shutdown)));
-  ss::stat_set("runtime.isolation_retries",
-               static_cast<double>(stats_.isolation_retries));
-  ss::stat_set("runtime.failed_requests",
-               static_cast<double>(stats_.failed_requests));
-  ss::stat_set("runtime.fulfilled", static_cast<double>(stats_.fulfilled));
-  // The resilience event counts (runtime.retries, runtime.shed,
-  // runtime.deadline_exceeded, runtime.fallback_cpu, runtime.circuit_opens)
-  // are obs Counters, incremented where the events happen; registering a
-  // gauge under the same name would be a type collision in the obs registry.
-  ss::stat_set("runtime.device_seconds", stats_.device_seconds);
-  ss::stat_set("runtime.p50_ms", stats_.p50_ms());
-  ss::stat_set("runtime.p99_ms", stats_.p99_ms());
 }
 
 }  // namespace regla::runtime

@@ -30,13 +30,13 @@
 // is re-run one request at a time and only the offending request's future
 // carries the exception.
 //
-// Health: Runtime::stats() snapshots throughput counters, a coalesced
-// batch-size histogram, flush-reason counts, queue-full rejections and
-// latency quantiles; the same numbers are exported through the named-stats
-// registry (simt::stats, now a shim over obs gauges) under "runtime.*", plus
-// obs histograms "runtime.latency_us" / "runtime.batch_problems". With
-// obs::trace_start() active, every submission and flush also lands on the
-// process trace timeline (runtime.submit / runtime.queue-wait /
+// Health: every count lives in one obs instrument labelled runtime=<k> (k =
+// the process-wide construction ordinal, metric_labels()): requests,
+// batches, flush reasons, resilience events, payload copies, the
+// "runtime.latency_us" and "runtime.batch_problems" histograms and the
+// "runtime.device_seconds" gauge. Runtime::stats() reads those instruments
+// back. With obs::trace_start() active, every submission and flush also
+// lands on the process trace timeline (runtime.submit / runtime.queue-wait /
 // runtime.flush / runtime.execute spans — see DESIGN.md §9).
 #pragma once
 
@@ -220,7 +220,8 @@ struct RuntimeOptions {
   bool ragged = false;
 };
 
-/// Cumulative counters, also exported to simt::stats as "runtime.*".
+/// Cumulative counters: a read of the runtime's own obs instruments (plus
+/// the arena's books), so obs::reset_all() zeroes them too.
 struct RuntimeStats {
   std::uint64_t requests = 0;           ///< accepted submissions
   std::uint64_t problems = 0;           ///< accepted problems
@@ -267,15 +268,10 @@ struct RuntimeStats {
   std::uint64_t staged_batches = 0;       ///< arena-staged gather/scatter
   std::uint64_t ragged_batches = 0;       ///< batches from ragged buckets
 
-  /// Coalesced batch-size histogram: bucket i counts batches of
-  /// [2^i, 2^(i+1)) problems.
-  static constexpr int kBatchBuckets = 16;
-  std::uint64_t batch_hist[kBatchBuckets] = {};
-
-  /// Submit->complete latency histogram, sqrt(2)-spaced buckets starting at
-  /// 1 us (bucket upper bound = 2^(i/2) us).
-  static constexpr int kLatencyBuckets = 56;
-  std::uint64_t latency_hist[kLatencyBuckets] = {};
+  /// Submit->resolve latency quantiles from the runtime.latency_us
+  /// histogram; resolution is one bucket (~±19%).
+  double p50_ms = 0;
+  double p99_ms = 0;
 
   double mean_batch() const {
     return batches > 0
@@ -285,10 +281,6 @@ struct RuntimeStats {
   std::uint64_t flushed(FlushReason r) const {
     return flushes[static_cast<int>(r)];
   }
-  /// q in [0, 1]; resolution is one histogram bucket (~±19%).
-  double latency_quantile_ms(double q) const;
-  double p50_ms() const { return latency_quantile_ms(0.50); }
-  double p99_ms() const { return latency_quantile_ms(0.99); }
 };
 
 class Runtime {
@@ -337,6 +329,10 @@ class Runtime {
   void shutdown();
 
   RuntimeStats stats() const;
+  /// The label ("runtime=<k>") every obs instrument of this runtime carries,
+  /// for reading them directly: obs::counter_value("runtime.batches",
+  /// rt.metric_labels()).
+  const std::string& metric_labels() const;
   std::shared_ptr<planner::Planner> planner() const { return planner_; }
   const Options& options() const { return opt_; }
 
@@ -495,7 +491,9 @@ class Runtime {
   void record_batch_stats(const Batch& batch, double device_seconds,
                           const Assembled* as = nullptr);
   void record_latency(Clock::time_point enqueued);
-  void export_stats() const;  // requires stats_mu_ held
+  /// Resolve `req` with `err` unless another path already resolved it;
+  /// counts the failure and its latency only when this call delivered it.
+  bool fail(Pending& req, std::exception_ptr err);
 
   /// Spare pool threads beyond the initial stream count, so devices added
   /// under load (up to this many extra streams) gain real concurrency.
@@ -529,8 +527,9 @@ class Runtime {
   std::condition_variable cv_idle_;      ///< wait_idle / shutdown drain
   std::condition_variable cv_dispatch_;  ///< dispatcher timer wakeups
 
-  mutable std::mutex stats_mu_;
-  RuntimeStats stats_;
+  /// The obs instruments behind stats(), resolved once at construction.
+  struct Metrics;
+  std::unique_ptr<const Metrics> metrics_;
 
   std::thread dispatcher_;
 };

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "common/error.h"
 #include "cpu/thread_pool.h"
@@ -13,7 +14,6 @@
 #include "obs/trace.h"
 #include "simt/replay.h"
 #include "simt/timing.h"
-#include "simt/trace.h"
 
 namespace regla::simt {
 
@@ -187,6 +187,21 @@ void emit_phase_slices(const LaunchSpec& spec, const LaunchResult& res,
 }
 
 }  // namespace
+
+bool slice_before(const TaggedCycles& a, const TaggedCycles& b) {
+  // Total key: (rank, panel, tag). A comparator that special-cased
+  // panel < 0 with an OR of both sides' tags made cmp(a,b) and cmp(b,a)
+  // simultaneously true (e.g. a panel-indexed load vs the panel -1 load) —
+  // undefined behavior in std::stable_sort.
+  const auto key = [](const TaggedCycles& s) {
+    // load/store carry panel -1; put load first, store last.
+    const int rank = s.panel >= 0          ? 1
+                     : s.tag == OpTag::store ? 2
+                                             : 0;
+    return std::make_tuple(rank, s.panel, static_cast<int>(s.tag));
+  };
+  return key(a) < key(b);
+}
 
 LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
   REGLA_CHECK_MSG(spec.blocks >= 1, "launch needs at least one block");

@@ -41,6 +41,12 @@ struct TaggedCycles {
   double cycles = 0;  ///< per-block average
 };
 
+/// Strict weak ordering over breakdown slices in natural execution order:
+/// the panel -1 load slice first, panel slices ascending (ties by tag), the
+/// panel -1 store slice last, any other panel -1 slice with the loads. Orders
+/// the phase slices the engine projects into the obs trace.
+bool slice_before(const TaggedCycles& a, const TaggedCycles& b);
+
 struct LaunchResult {
   double chip_cycles = 0;     ///< whole-launch time on the simulated chip
   double seconds = 0;         ///< chip_cycles / clock

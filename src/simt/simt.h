@@ -17,4 +17,3 @@
 #include "simt/reg_tile.h"      // IWYU pragma: export
 #include "simt/shared_mem.h"    // IWYU pragma: export
 #include "simt/timing.h"        // IWYU pragma: export
-#include "simt/trace.h"         // IWYU pragma: export

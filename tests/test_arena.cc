@@ -227,8 +227,6 @@ TEST(RuntimeArena, AdjacentLeasesCoalesceAsView) {
   auto opt = probe.options();
   opt.max_batch_delay = 10s;
   Runtime rt(opt);
-  const std::uint64_t copied0 =
-      obs::counter_value("runtime.payload_bytes_copied");
   std::vector<BatchF> leased;
   for (int i = 0; i < 3; ++i)
     leased.push_back(marked(rt.lease_f32(2, 8, 8), float(i + 1)));
@@ -247,7 +245,9 @@ TEST(RuntimeArena, AdjacentLeasesCoalesceAsView) {
   // The solver saw the first lease itself — a view, not a gather.
   EXPECT_EQ(probe.base.load(), first);
   EXPECT_EQ(probe.problems.load(), 6);
-  EXPECT_EQ(obs::counter_value("runtime.payload_bytes_copied"), copied0);
+  EXPECT_EQ(
+      obs::counter_value("runtime.payload_bytes_copied", rt.metric_labels()),
+      0u);
   rt.shutdown();
   const auto st = rt.stats();
   EXPECT_EQ(st.view_batches, 1u);

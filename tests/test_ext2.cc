@@ -1,14 +1,11 @@
-// Tests for apply-Q^H and the chrome-trace export.
+// Tests for apply-Q^H.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "common/generators.h"
 #include "common/norms.h"
 #include "core/per_block.h"
 #include "core/per_block_ext.h"
 #include "cpu/qr.h"
-#include "simt/trace.h"
 #include "test_util.h"
 
 namespace regla::core {
@@ -92,30 +89,6 @@ TEST(ApplyQt, ComplexMatchesCpuApply) {
   cpu::qr_apply_qt(packed.view(), tau, rhs.view());
   for (int i = 0; i < m; ++i)
     EXPECT_LT(std::abs(b.at(1, i, 0) - rhs(i, 0)), 3e-3f) << "row " << i;
-}
-
-TEST(Trace, ChromeJsonWellFormedAndComplete) {
-  simt::Device dev;
-  BatchF batch(2, 24, 24);
-  fill_uniform(batch, 3);
-  const auto r = qr_per_block(dev, batch);
-  std::ostringstream os;
-  simt::write_chrome_trace(r.launch, os, "qr24");
-  const std::string json = os.str();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("load"), std::string::npos);
-  EXPECT_NE(json.find("rank1 p0"), std::string::npos);
-  EXPECT_NE(json.find("store"), std::string::npos);
-  // Total duration equals the block-average cycles.
-  double total = 0;
-  std::size_t pos = 0;
-  while ((pos = json.find("\"dur\":", pos)) != std::string::npos) {
-    pos += 6;
-    total += std::stod(json.substr(pos));
-  }
-  EXPECT_NEAR(total, r.launch.block_cycles_avg, 0.01 * r.launch.block_cycles_avg);
 }
 
 }  // namespace

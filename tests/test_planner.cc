@@ -5,6 +5,7 @@
 
 #include "common/generators.h"
 #include "core/batched.h"
+#include "obs/metrics.h"
 #include "planner/planner.h"
 #include "planner/solver.h"
 #include "test_util.h"
@@ -219,7 +220,9 @@ TEST(Solver, AutotuneRecordsModelError) {
   const auto s = solver.planner().stats();
   EXPECT_GE(s.autotune_runs, 2u);
   EXPECT_EQ(s.model_error_count, 1u);
-  EXPECT_GT(simt::stat_get("planner.model_error_last"), -1);
+  EXPECT_EQ(obs::gauge_value("planner.model_error_last",
+                             solver.planner().metric_labels()),
+            rep.plan.model_rel_error);
 }
 
 }  // namespace

@@ -11,11 +11,13 @@
 #include <chrono>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
 #include "common/generators.h"
+#include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "runtime/timer_wheel.h"
 #include "test_util.h"
@@ -263,8 +265,8 @@ TEST(RuntimeQueue, RejectsAutotune) {
   EXPECT_THROW(Runtime rt(opt), regla::Error);
 }
 
-// Stats plumbing: latency histogram covers every accepted request and the
-// quantiles are ordered.
+// Stats plumbing: the runtime's labelled latency histogram covers every
+// accepted request and the quantiles are ordered.
 TEST(RuntimeQueue, LatencyHistogramCoversRequests) {
   auto opt = queue_options();
   opt.max_batch_delay = 0us;
@@ -274,12 +276,48 @@ TEST(RuntimeQueue, LatencyHistogramCoversRequests) {
     futs.push_back(rt.submit(Op::qr, marked_batch(1, 8, 1.0f)));
   for (auto& f : futs) f.get();
   rt.shutdown();
+  EXPECT_EQ(obs::histogram("runtime.latency_us", rt.metric_labels()).count(),
+            20u);
   const auto st = rt.stats();
-  std::uint64_t total = 0;
-  for (std::uint64_t c : st.latency_hist) total += c;
-  EXPECT_EQ(total, 20u);
-  EXPECT_LE(st.p50_ms(), st.p99_ms());
-  EXPECT_GT(st.p99_ms(), 0.0);
+  EXPECT_LE(st.p50_ms, st.p99_ms);
+  EXPECT_GT(st.p99_ms, 0.0);
+}
+
+// Each runtime's counts live in its own runtime=<k> instruments: two live
+// runtimes serving different traffic never see each other's events, and
+// stats() is a read of exactly those instruments.
+TEST(RuntimeQueue, MetricsAreScopedPerRuntime) {
+  auto opt = queue_options();
+  opt.max_batch_delay = 0us;  // one batch per submission
+  Runtime a(opt), b(opt);
+  ASSERT_NE(a.metric_labels(), b.metric_labels());
+  const auto serve = [](Runtime& rt, int requests) {
+    std::vector<std::future<Report>> futs;
+    for (int i = 0; i < requests; ++i)
+      futs.push_back(rt.submit(Op::qr, marked_batch(1, 8, 1.0f)));
+    for (auto& f : futs) f.get();
+    rt.wait_idle();
+  };
+  const auto check = [](const Runtime& rt, std::uint64_t batches) {
+    const auto st = rt.stats();
+    const std::string& l = rt.metric_labels();
+    EXPECT_EQ(st.batches, batches);
+    EXPECT_EQ(st.batches, obs::counter_value("runtime.batches", l));
+    EXPECT_EQ(st.fulfilled, obs::counter_value("runtime.fulfilled", l));
+    EXPECT_EQ(st.retries, obs::counter_value("runtime.retries", l));
+    EXPECT_EQ(obs::histogram("runtime.latency_us", l).count(),
+              st.fulfilled + st.failed_requests);
+  };
+  serve(a, 3);
+  check(a, 3);
+  check(b, 0);  // a's traffic did not move b
+  serve(b, 5);
+  check(b, 5);
+  check(a, 3);  // nor b's traffic a
+  a.shutdown();
+  b.shutdown();
+  check(a, 3);
+  check(b, 5);
 }
 
 TEST(RuntimeQueue, PreferredBatchStaysWithinFlushCap) {
