@@ -22,6 +22,19 @@ namespace detail {
   if (!msg.empty()) os << " — " << msg;
   throw Error(os.str());
 }
+
+/// The failing branch of REGLA_CHECK_MSG, out of line: a check inside a
+/// device kernel's inner loop then costs its comparison and a cold call, and
+/// the message formatting does not count against inlining the accessor.
+template <typename Msg>
+[[noreturn, gnu::cold, gnu::noinline]] void raise_msg(const char* cond,
+                                                      const char* file,
+                                                      int line,
+                                                      const Msg& msg) {
+  std::ostringstream os;
+  msg(os);
+  raise(cond, file, line, os.str());
+}
 }  // namespace detail
 
 }  // namespace regla
@@ -32,11 +45,11 @@ namespace detail {
     if (!(cond)) ::regla::detail::raise(#cond, __FILE__, __LINE__, ""); \
   } while (0)
 
-#define REGLA_CHECK_MSG(cond, msg)                               \
-  do {                                                           \
-    if (!(cond)) {                                               \
-      std::ostringstream regla_os_;                              \
-      regla_os_ << msg;                                          \
-      ::regla::detail::raise(#cond, __FILE__, __LINE__, regla_os_.str()); \
-    }                                                            \
+#define REGLA_CHECK_MSG(cond, msg)                                        \
+  do {                                                                    \
+    if (!(cond))                                                          \
+      ::regla::detail::raise_msg(#cond, __FILE__, __LINE__,               \
+                                 [&](std::ostream& regla_os_) {           \
+                                   regla_os_ << msg;                      \
+                                 });                                      \
   } while (0)

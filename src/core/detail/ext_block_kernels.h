@@ -21,18 +21,20 @@ struct CholBlockArgs {
   int* notspd = nullptr;  ///< optional non-positive-pivot flags
 };
 
-inline void cholesky_block_2d(simt::BlockCtx& ctx, const CholBlockArgs& arg) {
+template <typename Ctx>
+void cholesky_block_2d(Ctx& ctx, const CholBlockArgs& arg) {
+  using F = simt::real_t<Ctx>;
   const int k = ctx.block();
   if (k >= arg.count) return;
   const int n = arg.n;
-  auto lane = lanes_2d<gfloat>(ctx, n, n);
+  auto lane = lanes_2d<F>(ctx, n, n);
   const int r = lane[0].g2.rdim;
 
   auto ga = ctx.global(arg.a);
   const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
 
-  auto l_sh = ctx.shared<float>(n);
-  auto scale_sh = ctx.shared<float>(2);  // [1/L(c,c), notspd]
+  auto l_sh = ctx.template shared<float>(n);
+  auto scale_sh = ctx.template shared<float>(2);  // [1/L(c,c), notspd]
 
   ctx.tag(simt::OpTag::load);
   ctx.lanes([&](int t) {
@@ -42,11 +44,11 @@ inline void cholesky_block_2d(simt::BlockCtx& ctx, const CholBlockArgs& arg) {
       for (int ii = 0; ii < g2.hreg; ++ii) {
         const int gi = g2.grow(ii);
         A.set(ii, jj, (gi < n && gj < n)
-                          ? gfloat(ga.ld(base + gi + static_cast<std::ptrdiff_t>(gj) * n))
-                          : gfloat(0.0f));
+                          ? F(ga.ld(base + gi + static_cast<std::ptrdiff_t>(gj) * n))
+                          : F(0.0f));
       }
     }
-    if (t == 0) scale_sh.st(1, gfloat(0.0f));
+    if (t == 0) scale_sh.st(1, F(0.0f));
   });
   ctx.sync();
 
@@ -57,27 +59,27 @@ inline void cholesky_block_2d(simt::BlockCtx& ctx, const CholBlockArgs& arg) {
     ctx.lanes([&](int t) {
       auto& [g2, A] = lane[t];
       if (!g2.owns(c, c)) return;
-      const gfloat d = A.get(g2.lrow(c), g2.lcol(c));
+      const F d = A.get(g2.lrow(c), g2.lcol(c));
       if (d.value() > 0.0f) {
-        const gfloat l = gsqrt(d);
+        const F l = gsqrt(d);
         A.set(g2.lrow(c), g2.lcol(c), l);
-        scale_sh.st(0, gfloat(1.0f) / l);
+        scale_sh.st(0, F(1.0f) / l);
         l_sh.st(c, l);
       } else {
-        scale_sh.st(0, gfloat(0.0f));
-        scale_sh.st(1, gfloat(1.0f));
+        scale_sh.st(0, F(0.0f));
+        scale_sh.st(1, F(1.0f));
       }
     });
     ctx.sync();
     ctx.lanes([&](int t) {
       auto& [g2, A] = lane[t];
-      const gfloat inv = scale_sh.ld(0);
+      const F inv = scale_sh.ld(0);
       if (g2.tcol != c % r) return;
       const int jloc = g2.lcol(c);
       for (int ii = g2.lrow_from(c + 1); ii < g2.hreg; ++ii) {
         const int gi = g2.grow(ii);
         if (gi >= n) continue;
-        const gfloat l = A.get(ii, jloc) * inv;
+        const F l = A.get(ii, jloc) * inv;
         A.set(ii, jloc, l);
         l_sh.st(gi, l);
       }
@@ -90,7 +92,7 @@ inline void cholesky_block_2d(simt::BlockCtx& ctx, const CholBlockArgs& arg) {
       for (int jj = g2.lcol_from(c + 1); jj < g2.wreg; ++jj) {
         const int gj = g2.gcol(jj);
         if (gj >= n) continue;
-        const gfloat lj = l_sh.ld(gj);
+        const F lj = l_sh.ld(gj);
         for (int ii = g2.lrow_from(gj); ii < g2.hreg; ++ii) {
           const int gi = g2.grow(ii);
           if (gi < n) A.sub(ii, jj, l_sh.ld(gi) * lj);
@@ -127,26 +129,28 @@ struct LuPivBlockArgs {
   int* singular = nullptr;
 };
 
-inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
+template <typename Ctx>
+void lu_pivot_block_2d(Ctx& ctx, const LuPivBlockArgs& arg) {
+  using F = simt::real_t<Ctx>;
   const int k = ctx.block();
   if (k >= arg.count) return;
   const int n = arg.n;
-  auto lane = lanes_2d<gfloat>(ctx, n, n);
+  auto lane = lanes_2d<F>(ctx, n, n);
   const int r = lane[0].g2.rdim;
 
   auto ga = ctx.global(arg.a);
   const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
 
-  auto l_sh = ctx.shared<float>(n);
-  auto u_sh = ctx.shared<float>(n);
-  auto rowc_sh = ctx.shared<float>(n);
-  auto rowp_sh = ctx.shared<float>(n);
-  auto maxv_sh = ctx.shared<float>(r);
-  auto maxi_sh = ctx.shared<float>(r);
-  auto head_sh = ctx.shared<float>(4);  // [pivot row, scale, singular, -]
-  auto piv_sh = ctx.shared<float>(n);
+  auto l_sh = ctx.template shared<float>(n);
+  auto u_sh = ctx.template shared<float>(n);
+  auto rowc_sh = ctx.template shared<float>(n);
+  auto rowp_sh = ctx.template shared<float>(n);
+  auto maxv_sh = ctx.template shared<float>(r);
+  auto maxi_sh = ctx.template shared<float>(r);
+  auto head_sh = ctx.template shared<float>(4);  // [pivot row, scale, singular, -]
+  auto piv_sh = ctx.template shared<float>(n);
   // Each lane's copy of the announced pivot row, held across the swap.
-  auto pivot_row = ctx.lane_state<int>([](int) { return 0; });
+  auto pivot_row = ctx.lane_state([](int) { return 0; });
 
   ctx.tag(simt::OpTag::load);
   ctx.lanes([&](int t) {
@@ -156,11 +160,11 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
       for (int ii = 0; ii < g2.hreg; ++ii) {
         const int gi = g2.grow(ii);
         A.set(ii, jj, (gi < n && gj < n)
-                          ? gfloat(ga.ld(base + gi + static_cast<std::ptrdiff_t>(gj) * n))
-                          : gfloat(0.0f));
+                          ? F(ga.ld(base + gi + static_cast<std::ptrdiff_t>(gj) * n))
+                          : F(0.0f));
       }
     }
-    if (t == 0) head_sh.st(2, gfloat(0.0f));
+    if (t == 0) head_sh.st(2, F(0.0f));
   });
   ctx.sync();
 
@@ -171,34 +175,34 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
     ctx.lanes([&](int t) {
       auto& [g2, A] = lane[t];
       if (g2.tcol != c % r) return;
-      gfloat best(0.0f);
+      F best(0.0f);
       int best_i = c;
       const int jloc = g2.lcol(c);
       for (int ii = g2.lrow_from(c); ii < g2.hreg; ++ii) {
         const int gi = g2.grow(ii);
         if (gi >= n) continue;
-        const gfloat v = gabs(A.get(ii, jloc));
+        const F v = gabs(A.get(ii, jloc));
         if (v.value() > best.value()) { best = v; best_i = gi; }
       }
       maxv_sh.st(g2.trow, best);
-      maxi_sh.st(g2.trow, gfloat(static_cast<float>(best_i)));
+      maxi_sh.st(g2.trow, F(static_cast<float>(best_i)));
     });
     ctx.sync();
     // 2. One thread reduces the candidates and announces the pivot row.
     ctx.lanes([&](int t) {
       if (t != 0) return;
-      gfloat best(0.0f);
+      F best(0.0f);
       int p = c;
       for (int q = 0; q < r; ++q) {
-        const gfloat v = maxv_sh.ld(q);
+        const F v = maxv_sh.ld(q);
         if (v.value() > best.value()) {
           best = v;
           p = static_cast<int>(maxi_sh.ld(q).value());
         }
       }
-      head_sh.st(0, gfloat(static_cast<float>(p)));
-      if (best.value() == 0.0f) head_sh.st(2, gfloat(1.0f));
-      piv_sh.st(c, gfloat(static_cast<float>(p)));
+      head_sh.st(0, F(static_cast<float>(p)));
+      if (best.value() == 0.0f) head_sh.st(2, F(1.0f));
+      piv_sh.st(c, F(static_cast<float>(p)));
     });
     ctx.sync();
     // 3. Swap rows c and p through shared memory (identity swap if p == c).
@@ -240,8 +244,8 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
       }
       // The diagonal thread can now compute the scale from the swapped pivot.
       if (g2.owns(c, c)) {
-        const gfloat pivot = rowp_sh.ld(c);  // row p's entry in column c
-        head_sh.st(1, pivot.value() != 0.0f ? gfloat(1.0f) / pivot : gfloat(0.0f));
+        const F pivot = rowp_sh.ld(c);  // row p's entry in column c
+        head_sh.st(1, pivot.value() != 0.0f ? F(1.0f) / pivot : F(0.0f));
       }
     });
     ctx.sync();
@@ -249,13 +253,13 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
     // 4. Scale l, publish l and u (as in the unpivoted kernel).
     ctx.lanes([&](int t) {
       auto& [g2, A] = lane[t];
-      const gfloat scale = head_sh.ld(1);
+      const F scale = head_sh.ld(1);
       if (g2.tcol == c % r) {
         const int jloc = g2.lcol(c);
         for (int ii = g2.lrow_from(c + 1); ii < g2.hreg; ++ii) {
           const int gi = g2.grow(ii);
           if (gi >= n) continue;
-          const gfloat l = A.get(ii, jloc) * scale;
+          const F l = A.get(ii, jloc) * scale;
           A.set(ii, jloc, l);
           l_sh.st(gi, l);
         }
@@ -276,7 +280,7 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
       for (int jj = g2.lcol_from(c + 1); jj < g2.wreg; ++jj) {
         const int gj = g2.gcol(jj);
         if (gj >= n) continue;
-        const gfloat u = u_sh.ld(gj);
+        const F u = u_sh.ld(gj);
         for (int ii = g2.lrow_from(c + 1); ii < g2.hreg; ++ii) {
           const int gi = g2.grow(ii);
           if (gi < n) A.sub(ii, jj, l_sh.ld(gi) * u);
@@ -312,9 +316,8 @@ inline void lu_pivot_block_2d(simt::BlockCtx& ctx, const LuPivBlockArgs& arg) {
 
 // --- normal-equations triangular solve (R^H R w = v), column cyclic --------
 
-template <typename S>
+template <typename Store>  // float or std::complex<float>
 struct NormalEqArgs {
-  using Store = typename StorageOf<S>::type;
   const Store* r = nullptr;  ///< count x (n x n), R in the upper triangle
   const Store* v = nullptr;  ///< count x n right-hand sides
   Store* w = nullptr;        ///< count x n solutions
@@ -326,9 +329,9 @@ struct NormalEqArgs {
 /// registers. Forward solve R^H y = v runs column-parallel (each step
 /// broadcasts y_k and every thread updates the residuals of its columns);
 /// back solve R w = y is column-local to the owner of column k.
-template <typename S>
-void normal_eq_solve_block(simt::BlockCtx& ctx, const NormalEqArgs<S>& arg) {
-  using Store = typename StorageOf<S>::type;
+template <typename Ctx, typename Store>
+void normal_eq_solve_block(Ctx& ctx, const NormalEqArgs<Store>& arg) {
+  using S = simt::device_t<Ctx, Store>;
   const int k = ctx.block();
   if (k >= arg.count) return;
   const int n = arg.n, p = ctx.nthreads();
@@ -340,7 +343,7 @@ void normal_eq_solve_block(simt::BlockCtx& ctx, const NormalEqArgs<S>& arg) {
   const std::ptrdiff_t rbase = static_cast<std::ptrdiff_t>(k) * n * n;
   const std::ptrdiff_t vbase = static_cast<std::ptrdiff_t>(k) * n;
 
-  auto acc_sh = ctx.shared<Store>(n);  // running residuals, then y, then w
+  auto acc_sh = ctx.template shared<Store>(n);  // running residuals, then y, then w
   auto lane = lane_tiles<S>(ctx, n, cpt);
 
   ctx.tag(simt::OpTag::load);
@@ -410,7 +413,9 @@ struct TrsmBlockArgs {
 /// registers (the normal-eq layout, lower triangle instead of upper). Each
 /// forward step has column c's owner divide by L(c,c) and publish x_c; every
 /// thread then retires its own columns' updates of the shared residual.
-inline void trsm_lower_block(simt::BlockCtx& ctx, const TrsmBlockArgs& arg) {
+template <typename Ctx>
+void trsm_lower_block(Ctx& ctx, const TrsmBlockArgs& arg) {
+  using F = simt::real_t<Ctx>;
   const int k = ctx.block();
   if (k >= arg.count) return;
   const int n = arg.n, p = ctx.nthreads();
@@ -421,9 +426,9 @@ inline void trsm_lower_block(simt::BlockCtx& ctx, const TrsmBlockArgs& arg) {
   const std::ptrdiff_t lbase = static_cast<std::ptrdiff_t>(k) * n * n;
   const std::ptrdiff_t bbase = static_cast<std::ptrdiff_t>(k) * n;
 
-  auto acc_sh = ctx.shared<float>(n);    // running residuals, then x
-  auto flag_sh = ctx.shared<float>(1);   // zero-diagonal marker
-  auto lane = lane_tiles<gfloat>(ctx, n, cpt);
+  auto acc_sh = ctx.template shared<float>(n);    // running residuals, then x
+  auto flag_sh = ctx.template shared<float>(1);   // zero-diagonal marker
+  auto lane = lane_tiles<F>(ctx, n, cpt);
 
   ctx.tag(simt::OpTag::load);
   ctx.lanes([&](int t) {
@@ -432,10 +437,10 @@ inline void trsm_lower_block(simt::BlockCtx& ctx, const TrsmBlockArgs& arg) {
       const int gj = t + jj * p;
       if (gj >= n) continue;
       for (int i = gj; i < n; ++i)
-        L.set(i, jj, gfloat(gl.ld(lbase + i + static_cast<std::ptrdiff_t>(gj) * n)));
+        L.set(i, jj, F(gl.ld(lbase + i + static_cast<std::ptrdiff_t>(gj) * n)));
     }
     for (int i = t; i < n; i += p) acc_sh.st(i, gb.ld(bbase + i));
-    if (t == 0) flag_sh.st(0, gfloat(0.0f));
+    if (t == 0) flag_sh.st(0, F(0.0f));
   });
   ctx.sync();
 
@@ -446,12 +451,12 @@ inline void trsm_lower_block(simt::BlockCtx& ctx, const TrsmBlockArgs& arg) {
       if (t != c % p) return;
       auto& L = lane[t];
       const int jloc = c / p;
-      const gfloat d = L.get(c, jloc);
-      gfloat xc(0.0f);
+      const F d = L.get(c, jloc);
+      F xc(0.0f);
       if (d.value() != 0.0f) {
         xc = div_scalar(acc_sh.ld(c), d);
       } else {
-        flag_sh.st(0, gfloat(1.0f));
+        flag_sh.st(0, F(1.0f));
       }
       acc_sh.st(c, xc);
       for (int i = c + 1; i < n; ++i)
@@ -470,9 +475,8 @@ inline void trsm_lower_block(simt::BlockCtx& ctx, const TrsmBlockArgs& arg) {
 
 // --- apply Q^H to new right-hand sides (ormqr-style), 2D cyclic -------------
 
-template <typename S>
+template <typename Store>  // float or std::complex<float>
 struct ApplyQtArgs {
-  using Store = typename StorageOf<S>::type;
   const Store* qr = nullptr;    ///< packed QR factorizations (m x n)
   const Store* taus = nullptr;  ///< count x n reflector scalars
   Store* b = nullptr;           ///< count x m right-hand sides, replaced by Q^H b
@@ -484,9 +488,9 @@ struct ApplyQtArgs {
 /// Applies the stored reflectors of a packed QR to a fresh vector: the
 /// repeated-solve path (factor once with qr_per_block, then apply_qt +
 /// triangular solve per new b).
-template <typename S>
-void apply_qt_block_2d(simt::BlockCtx& ctx, const ApplyQtArgs<S>& arg) {
-  using Store = typename StorageOf<S>::type;
+template <typename Ctx, typename Store>
+void apply_qt_block_2d(Ctx& ctx, const ApplyQtArgs<Store>& arg) {
+  using S = simt::device_t<Ctx, Store>;
   const int k = ctx.block();
   if (k >= arg.count) return;
   const int m = arg.m, n = arg.n;
@@ -500,9 +504,9 @@ void apply_qt_block_2d(simt::BlockCtx& ctx, const ApplyQtArgs<S>& arg) {
   const std::ptrdiff_t tbase = static_cast<std::ptrdiff_t>(k) * n;
   const std::ptrdiff_t bbase = static_cast<std::ptrdiff_t>(k) * m;
 
-  auto b_sh = ctx.shared<Store>(m);
-  auto part = ctx.shared<Store>(r);
-  auto w_sh = ctx.shared<Store>(2);
+  auto b_sh = ctx.template shared<Store>(m);
+  auto part = ctx.template shared<Store>(r);
+  auto w_sh = ctx.template shared<Store>(2);
 
   ctx.tag(simt::OpTag::load);
   ctx.lanes([&](int t) {

@@ -15,21 +15,20 @@ struct Lane2D {
   simt::RegTile<S> A;
 };
 
-template <typename S>
-simt::LaneState<Lane2D<S>> lanes_2d(simt::BlockCtx& ctx, int m, int n) {
-  return ctx.lane_state<Lane2D<S>>([&](int tid) {
+template <typename S, typename Ctx>
+auto lanes_2d(Ctx& ctx, int m, int n) {
+  return ctx.lane_state([&](int tid) {
     const Grid2D g2(tid, ctx.nthreads(), m, n);
-    return Lane2D<S>{g2, ctx.reg_tile<S>(g2.hreg, g2.wreg)};
+    return Lane2D<S>{g2, ctx.template reg_tile<S>(g2.hreg, g2.wreg)};
   });
 }
 
 /// A 1D-layout lane: just its h x w register tile (its rows or columns
 /// follow from tid).
-template <typename S>
-simt::LaneState<simt::RegTile<S>> lane_tiles(simt::BlockCtx& ctx, int h,
-                                             int w) {
-  return ctx.lane_state<simt::RegTile<S>>(
-      [&](int) { return ctx.reg_tile<S>(h, w); });
+template <typename S, typename Ctx>
+auto lane_tiles(Ctx& ctx, int h, int w) {
+  return ctx.lane_state(
+      [&](int) { return ctx.template reg_tile<S>(h, w); });
 }
 
 }  // namespace regla::core::detail

@@ -19,19 +19,21 @@ struct LuBlockArgs {
 };
 
 /// Unpivoted LU, one problem per block, 2D cyclic.
-inline void lu_block_2d(simt::BlockCtx& ctx, const LuBlockArgs& arg) {
+template <typename Ctx>
+void lu_block_2d(Ctx& ctx, const LuBlockArgs& arg) {
+  using F = simt::real_t<Ctx>;
   const int k = ctx.block();
   if (k >= arg.count) return;
   const int n = arg.n;
-  auto lane = lanes_2d<gfloat>(ctx, n, n);
+  auto lane = lanes_2d<F>(ctx, n, n);
   const int r = lane[0].g2.rdim;
 
   auto ga = ctx.global(arg.a);
   const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
 
-  auto l_sh = ctx.shared<float>(n);
-  auto u_sh = ctx.shared<float>(n);
-  auto scale_sh = ctx.shared<float>(2);  // [scale, notsolved]
+  auto l_sh = ctx.template shared<float>(n);
+  auto u_sh = ctx.template shared<float>(n);
+  auto scale_sh = ctx.template shared<float>(2);  // [scale, notsolved]
 
   ctx.tag(simt::OpTag::load);
   ctx.lanes([&](int t) {
@@ -41,11 +43,11 @@ inline void lu_block_2d(simt::BlockCtx& ctx, const LuBlockArgs& arg) {
       for (int ii = 0; ii < g2.hreg; ++ii) {
         const int gi = g2.grow(ii);
         A.set(ii, jj, (gi < n && gj < n)
-                          ? gfloat(ga.ld(base + gi + static_cast<std::ptrdiff_t>(gj) * n))
-                          : gfloat(0.0f));
+                          ? F(ga.ld(base + gi + static_cast<std::ptrdiff_t>(gj) * n))
+                          : F(0.0f));
       }
     }
-    if (t == 0) scale_sh.st(1, gfloat(0.0f));
+    if (t == 0) scale_sh.st(1, F(0.0f));
   });
   ctx.sync();
 
@@ -56,25 +58,25 @@ inline void lu_block_2d(simt::BlockCtx& ctx, const LuBlockArgs& arg) {
     ctx.lanes([&](int t) {
       auto& [g2, A] = lane[t];
       if (!g2.owns(c, c)) return;
-      const gfloat pivot = A.get(g2.lrow(c), g2.lcol(c));
+      const F pivot = A.get(g2.lrow(c), g2.lcol(c));
       if (pivot.value() != 0.0f) {
-        scale_sh.st(0, gfloat(1.0f) / pivot);
+        scale_sh.st(0, F(1.0f) / pivot);
       } else {
-        scale_sh.st(0, gfloat(0.0f));
-        scale_sh.st(1, gfloat(1.0f));
+        scale_sh.st(0, F(0.0f));
+        scale_sh.st(1, F(1.0f));
       }
     });
     ctx.sync();
     // Paper Listing 6: scale while extracting l; row owners publish u.
     ctx.lanes([&](int t) {
       auto& [g2, A] = lane[t];
-      const gfloat scale = scale_sh.ld(0);
+      const F scale = scale_sh.ld(0);
       if (g2.tcol == c % r) {
         const int jloc = g2.lcol(c);
         for (int ii = g2.lrow_from(c + 1); ii < g2.hreg; ++ii) {
           const int gi = g2.grow(ii);
           if (gi >= n) continue;
-          const gfloat l = A.get(ii, jloc) * scale;
+          const F l = A.get(ii, jloc) * scale;
           A.set(ii, jloc, l);
           l_sh.st(gi, l);
         }
@@ -95,7 +97,7 @@ inline void lu_block_2d(simt::BlockCtx& ctx, const LuBlockArgs& arg) {
       for (int jj = g2.lcol_from(c + 1); jj < g2.wreg; ++jj) {
         const int gj = g2.gcol(jj);
         if (gj >= n) continue;
-        const gfloat u = u_sh.ld(gj);
+        const F u = u_sh.ld(gj);
         for (int ii = g2.lrow_from(c + 1); ii < g2.hreg; ++ii) {
           const int gi = g2.grow(ii);
           if (gi < n) A.sub(ii, jj, l_sh.ld(gi) * u);
@@ -135,12 +137,14 @@ struct GjBlockArgs {
 /// Gauss-Jordan solve of [A | b], one problem per block, 2D cyclic.
 /// b_k is overwritten with x_k; A_k ends up as garbage working values (the
 /// paper's kernel likewise only preserves the solution vector).
-inline void gj_block_2d(simt::BlockCtx& ctx, const GjBlockArgs& arg) {
+template <typename Ctx>
+void gj_block_2d(Ctx& ctx, const GjBlockArgs& arg) {
+  using F = simt::real_t<Ctx>;
   const int k = ctx.block();
   if (k >= arg.count) return;
   const int n = arg.n;
   const int naug = n + 1;
-  auto lane = lanes_2d<gfloat>(ctx, n, naug);
+  auto lane = lanes_2d<F>(ctx, n, naug);
   const int r = lane[0].g2.rdim;
 
   auto ga = ctx.global(arg.a);
@@ -148,9 +152,9 @@ inline void gj_block_2d(simt::BlockCtx& ctx, const GjBlockArgs& arg) {
   const std::ptrdiff_t abase = static_cast<std::ptrdiff_t>(k) * n * n;
   const std::ptrdiff_t bbase = static_cast<std::ptrdiff_t>(k) * n;
 
-  auto l_sh = ctx.shared<float>(n);
-  auto u_sh = ctx.shared<float>(naug);
-  auto scale_sh = ctx.shared<float>(2);
+  auto l_sh = ctx.template shared<float>(n);
+  auto u_sh = ctx.template shared<float>(naug);
+  auto scale_sh = ctx.template shared<float>(2);
 
   ctx.tag(simt::OpTag::load);
   ctx.lanes([&](int t) {
@@ -164,10 +168,10 @@ inline void gj_block_2d(simt::BlockCtx& ctx, const GjBlockArgs& arg) {
         else if (gi < n && gj == n)
           A.set(ii, jj, gb.ld(bbase + gi));
         else
-          A.set(ii, jj, gfloat(0.0f));
+          A.set(ii, jj, F(0.0f));
       }
     }
-    if (t == 0) scale_sh.st(1, gfloat(0.0f));
+    if (t == 0) scale_sh.st(1, F(0.0f));
   });
   ctx.sync();
 
@@ -177,12 +181,12 @@ inline void gj_block_2d(simt::BlockCtx& ctx, const GjBlockArgs& arg) {
     ctx.lanes([&](int t) {
       auto& [g2, A] = lane[t];
       if (!g2.owns(c, c)) return;
-      const gfloat pivot = A.get(g2.lrow(c), g2.lcol(c));
+      const F pivot = A.get(g2.lrow(c), g2.lcol(c));
       if (pivot.value() != 0.0f) {
-        scale_sh.st(0, gfloat(1.0f) / pivot);
+        scale_sh.st(0, F(1.0f) / pivot);
       } else {
-        scale_sh.st(0, gfloat(0.0f));
-        scale_sh.st(1, gfloat(1.0f));
+        scale_sh.st(0, F(0.0f));
+        scale_sh.st(1, F(1.0f));
       }
     });
     ctx.sync();
@@ -190,13 +194,13 @@ inline void gj_block_2d(simt::BlockCtx& ctx, const GjBlockArgs& arg) {
     // the (unscaled) pivot column for elimination.
     ctx.lanes([&](int t) {
       auto& [g2, A] = lane[t];
-      const gfloat scale = scale_sh.ld(0);
+      const F scale = scale_sh.ld(0);
       if (g2.trow == c % r) {
         const int iloc = g2.lrow(c);
         for (int jj = g2.lcol_from(c); jj < g2.wreg; ++jj) {
           const int gj = g2.gcol(jj);
           if (gj >= naug) continue;
-          const gfloat u = A.get(iloc, jj) * scale;
+          const F u = A.get(iloc, jj) * scale;
           A.set(iloc, jj, u);
           u_sh.st(gj, u);
         }
@@ -216,7 +220,7 @@ inline void gj_block_2d(simt::BlockCtx& ctx, const GjBlockArgs& arg) {
       for (int jj = g2.lcol_from(c + 1); jj < g2.wreg; ++jj) {
         const int gj = g2.gcol(jj);
         if (gj >= naug) continue;
-        const gfloat u = u_sh.ld(gj);
+        const F u = u_sh.ld(gj);
         for (int ii = 0; ii < g2.hreg; ++ii) {
           const int gi = g2.grow(ii);
           if (gi < n && gi != c) A.sub(ii, jj, l_sh.ld(gi) * u);

@@ -1,6 +1,8 @@
 // One-problem-per-block Householder QR device kernels (paper §V).
 //
-// The 2D-cyclic kernel is templated over the scalar (gfloat / gcomplex) and
+// The 2D-cyclic kernel is templated over the storage scalar (float /
+// std::complex<float>) and, like every kernel, over the block context, whose
+// counting policy picks the device scalars it computes with. It
 // optionally factors an augmented system [A | b] and back-substitutes, which
 // gives the "QR solve" of Figs. 7 and 12 and the complex QR of §VII. The 1D
 // row- and column-cyclic variants exist for the Fig. 7 layout comparison.
@@ -20,7 +22,6 @@
 
 namespace regla::core::detail {
 
-using simt::BlockCtx;
 using simt::OpTag;
 using simt::SharedArray;
 
@@ -28,58 +29,50 @@ using simt::SharedArray;
 // Layout of the 8-float head buffer: [tau_re, tau_im, inv_re, inv_im, beta,
 // skip]; real kernels use only [0], [2], [4], [5].
 
-inline void store_head(SharedArray<float>& h, const Reflector<gfloat>& r) {
+template <bool C>
+void store_head(SharedArray<float, C>& h, const Reflector<basic_gfloat<C>>& r) {
   h.st(0, r.tau);
   h.st(2, r.inv);
   h.st(4, r.beta);
-  h.st(5, gfloat(r.skip ? 1.0f : 0.0f));
+  h.st(5, basic_gfloat<C>(r.skip ? 1.0f : 0.0f));
 }
-inline void store_head(SharedArray<float>& h, const Reflector<gcomplex>& r) {
+template <bool C>
+void store_head(SharedArray<float, C>& h,
+                const Reflector<basic_gcomplex<C>>& r) {
   h.st(0, r.tau.re());
   h.st(1, r.tau.im());
   h.st(2, r.inv.re());
   h.st(3, r.inv.im());
   h.st(4, r.beta);
-  h.st(5, gfloat(r.skip ? 1.0f : 0.0f));
+  h.st(5, basic_gfloat<C>(r.skip ? 1.0f : 0.0f));
 }
 
-template <typename S>
-S load_head_inv(SharedArray<float>& h);
-template <>
-inline gfloat load_head_inv<gfloat>(SharedArray<float>& h) { return h.ld(2); }
-template <>
-inline gcomplex load_head_inv<gcomplex>(SharedArray<float>& h) {
-  return {h.ld(2), h.ld(3)};
+template <typename S, bool C>
+S load_head_inv(SharedArray<float, C>& h) {
+  if constexpr (std::is_same_v<S, basic_gfloat<C>>)
+    return h.ld(2);
+  else
+    return {h.ld(2), h.ld(3)};
 }
 
 /// tau as applied during factorization (conjugated for complex).
-template <typename S>
-S load_head_applied_tau(SharedArray<float>& h);
-template <>
-inline gfloat load_head_applied_tau<gfloat>(SharedArray<float>& h) {
-  return h.ld(0);
-}
-template <>
-inline gcomplex load_head_applied_tau<gcomplex>(SharedArray<float>& h) {
-  return {h.ld(0), -h.ld(1)};
+template <typename S, bool C>
+S load_head_applied_tau(SharedArray<float, C>& h) {
+  if constexpr (std::is_same_v<S, basic_gfloat<C>>)
+    return h.ld(0);
+  else
+    return {h.ld(0), -h.ld(1)};
 }
 
-template <typename S>
-S load_head_tau(SharedArray<float>& h);
-template <>
-inline gfloat load_head_tau<gfloat>(SharedArray<float>& h) { return h.ld(0); }
-template <>
-inline gcomplex load_head_tau<gcomplex>(SharedArray<float>& h) {
-  return {h.ld(0), h.ld(1)};
+template <bool C>
+bool load_head_skip(SharedArray<float, C>& h) {
+  return h.ld(5).value() != 0.0f;
 }
-
-inline bool load_head_skip(SharedArray<float>& h) { return h.ld(5).value() != 0.0f; }
 
 // --- kernel parameters -----------------------------------------------------
 
-template <typename S>
+template <typename Store>  // float or std::complex<float>
 struct QrBlockArgs {
-  using Store = typename StorageOf<S>::type;
   Store* a = nullptr;      ///< batch of m x n matrices, problem-major
   Store* b = nullptr;      ///< optional batch of m x 1 right-hand sides
   Store* taus = nullptr;   ///< optional batch of n tau scalars
@@ -93,9 +86,10 @@ struct QrBlockArgs {
 };
 
 /// 2D-cyclic one-problem-per-block Householder QR (+ optional solve).
-template <typename S>
-void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
-  using Store = typename StorageOf<S>::type;
+template <typename Ctx, typename Store>
+void qr_block_2d(Ctx& ctx, const QrBlockArgs<Store>& arg) {
+  using S = simt::device_t<Ctx, Store>;
+  using F = simt::real_t<Ctx>;
   const int k = ctx.block();
   if (k >= arg.count) return;
   const int m = arg.m, n = arg.n;
@@ -105,16 +99,16 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
   const int r = lane[0].g2.rdim;
 
   auto ga = ctx.global(arg.a);
-  auto gb = arg.b != nullptr ? ctx.global(arg.b) : simt::Global<Store>();
+  auto gb = ctx.global(arg.b);  // unused unless the system is augmented
   const std::ptrdiff_t abase = static_cast<std::ptrdiff_t>(k) * m * n;
   const std::ptrdiff_t bbase = static_cast<std::ptrdiff_t>(k) * m;
 
-  auto v_sh = ctx.shared<Store>(m);
-  auto w_sh = ctx.shared<Store>(naug);
-  auto part = ctx.shared<Store>(naug * r);
-  auto red = ctx.shared<float>(r);
-  auto head = ctx.shared<float>(8);
-  auto tau_sh = ctx.shared<Store>(n);
+  auto v_sh = ctx.template shared<Store>(m);
+  auto w_sh = ctx.template shared<Store>(naug);
+  auto part = ctx.template shared<Store>(naug * r);
+  auto red = ctx.template shared<float>(r);
+  auto head = ctx.template shared<float>(8);
+  auto tau_sh = ctx.template shared<Store>(n);
 
   // ---- load the tile (paper Listing 4, with ragged-edge guards) ----
   ctx.set_panel(-1);
@@ -146,7 +140,7 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
     ctx.lanes([&](int t) {
       auto& [g2, A] = lane[t];
       if (g2.tcol != c % r) return;
-      gfloat sigma(0.0f);
+      F sigma(0.0f);
       const int jloc = g2.lcol(c);
       for (int ii = g2.lrow_from(c + 1); ii < g2.hreg; ++ii)
         if (g2.grow(ii) < m) sigma = abs2_acc(A.get(ii, jloc), sigma);
@@ -158,7 +152,7 @@ void qr_block_2d(BlockCtx& ctx, const QrBlockArgs<S>& arg) {
     ctx.lanes([&](int t) {
       auto& [g2, A] = lane[t];
       if (g2.trow != c % r || g2.tcol != c % r) return;
-      gfloat sigma(0.0f);
+      F sigma(0.0f);
       for (int q = 0; q < r; ++q) sigma = red.ld(q) + sigma;
       const S alpha = A.get(g2.lrow(c), g2.lcol(c));
       const auto refl = make_reflector(alpha, sigma);
@@ -318,7 +312,9 @@ struct Qr1DArgs {
   int count = 0;
 };
 
-inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
+template <typename Ctx>
+void qr_solve_block_1drow(Ctx& ctx, const Qr1DArgs& arg) {
+  using F = simt::real_t<Ctx>;
   const int k = ctx.block();
   if (k >= arg.count) return;
   const int n = arg.n, naug = n + 1, p = ctx.nthreads();
@@ -331,18 +327,18 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
   const std::ptrdiff_t abase = static_cast<std::ptrdiff_t>(k) * n * n;
   const std::ptrdiff_t bbase = static_cast<std::ptrdiff_t>(k) * n;
 
-  auto v_sh = ctx.shared<float>(n);
-  auto x_sh = ctx.shared<float>(n);
-  auto red = ctx.shared<float>(p);
-  auto part = ctx.shared<float>(p * kChunk);
-  auto head = ctx.shared<float>(8);
+  auto v_sh = ctx.template shared<float>(n);
+  auto x_sh = ctx.template shared<float>(n);
+  auto red = ctx.template shared<float>(p);
+  auto part = ctx.template shared<float>(p * kChunk);
+  auto head = ctx.template shared<float>(8);
 
   struct Lane {
-    simt::RegTile<gfloat> A;
-    gfloat taup;  ///< the column's applied tau, read once per column
+    simt::RegTile<F> A;
+    F taup;  ///< the column's applied tau, read once per column
   };
-  auto lane = ctx.lane_state<Lane>(
-      [&](int) { return Lane{ctx.reg_tile<gfloat>(rpt, naug), gfloat(0.0f)}; });
+  auto lane = ctx.lane_state(
+      [&](int) { return Lane{ctx.template reg_tile<F>(rpt, naug), F(0.0f)}; });
 
   ctx.tag(OpTag::load);
   ctx.lanes([&](int t) {
@@ -362,7 +358,7 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
     ctx.tag(OpTag::form_hh);
     ctx.lanes([&](int t) {
       auto& A = lane[t].A;
-      gfloat sigma(0.0f);
+      F sigma(0.0f);
       for (int ii = 0; ii < rpt; ++ii) {
         const int gi = t + ii * p;
         if (gi > c && gi < n) sigma = abs2_acc(A.get(ii, c), sigma);
@@ -374,24 +370,24 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
     ctx.lanes([&](int t) {
       if (t != c % p) return;
       auto& A = lane[t].A;
-      gfloat s(0.0f);
+      F s(0.0f);
       for (int q = 0; q < p; ++q) s = red.ld(q) + s;
       const int lc = c / p;
       const auto refl = make_reflector(A.get(lc, c), s);
       store_head(head, refl);
       A.set(lc, c, to_scalar(refl.beta, A.get(lc, c), refl.skip));
-      v_sh.st(c, gfloat(1.0f));
+      v_sh.st(c, F(1.0f));
     });
     ctx.sync();
     // 3. Scale and publish v.
     ctx.lanes([&](int t) {
       auto& A = lane[t].A;
-      const gfloat inv = load_head_inv<gfloat>(head);
+      const F inv = load_head_inv<F>(head);
       const bool skip = load_head_skip(head);
       for (int ii = 0; ii < rpt; ++ii) {
         const int gi = t + ii * p;
         if (gi > c && gi < n) {
-          const gfloat v = skip ? gfloat(0.0f) : A.get(ii, c) * inv;
+          const F v = skip ? F(0.0f) : A.get(ii, c) * inv;
           A.set(ii, c, v);
           v_sh.st(gi, v);
         }
@@ -405,14 +401,14 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
       ctx.lanes([&](int t) {
         auto& [A, taup] = lane[t];
         if (j0 == c + 1)
-          taup = load_head_skip(head) ? gfloat(0.0f)
-                                      : load_head_applied_tau<gfloat>(head);
+          taup = load_head_skip(head) ? F(0.0f)
+                                      : load_head_applied_tau<F>(head);
         for (int j = j0; j < jend; ++j) {
-          gfloat acc(0.0f);
+          F acc(0.0f);
           for (int ii = 0; ii < rpt; ++ii) {
             const int gi = t + ii * p;
             if (gi < c || gi >= n) continue;
-            const gfloat vi = (gi == c) ? gfloat(1.0f) : A.get(ii, c);
+            const F vi = (gi == c) ? F(1.0f) : A.get(ii, c);
             acc = gfma(vi, A.get(ii, j), acc);
           }
           part.st(t * kChunk + (j - j0), acc);
@@ -422,7 +418,7 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
       ctx.lanes([&](int t) {
         if (t % kGroup != 0) return;
         for (int j = j0; j < jend; ++j) {
-          gfloat acc(0.0f);
+          F acc(0.0f);
           for (int q = t; q < std::min(p, t + kGroup); ++q)
             acc = part.ld(q * kChunk + (j - j0)) + acc;
           part.st(t * kChunk + (j - j0), acc);
@@ -432,7 +428,7 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
       ctx.lanes([&](int t) {
         if (t != 0) return;
         for (int j = j0; j < jend; ++j) {
-          gfloat acc(0.0f);
+          F acc(0.0f);
           for (int q = 0; q < p; q += kGroup)
             acc = part.ld(q * kChunk + (j - j0)) + acc;
           // Stage the final w_j in row 0 of `part`. Slot (j - j0) is group
@@ -449,7 +445,7 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
         for (int ii = 0; ii < rpt; ++ii) {
           const int gi = t + ii * p;
           if (gi < c || gi >= n) continue;
-          const gfloat vi = (gi == c) ? gfloat(1.0f) : A.get(ii, c);
+          const F vi = (gi == c) ? F(1.0f) : A.get(ii, c);
           for (int j = j0; j < jend; ++j) A.sub(ii, j, vi * part.ld(j - j0));
         }
       });
@@ -465,14 +461,14 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
       if (t != c % p) return;
       auto& A = lane[t].A;
       const int lc = c / p;
-      const gfloat x = A.get(lc, n) / A.get(lc, c);
+      const F x = A.get(lc, n) / A.get(lc, c);
       A.set(lc, n, x);
       x_sh.st(c, x);
     });
     ctx.sync();
     ctx.lanes([&](int t) {
       auto& A = lane[t].A;
-      const gfloat x = x_sh.ld(c);
+      const F x = x_sh.ld(c);
       for (int ii = 0; ii < rpt; ++ii) {
         const int gi = t + ii * p;
         if (gi < c) A.sub(ii, n, A.get(ii, c) * x);
@@ -494,7 +490,9 @@ inline void qr_solve_block_1drow(BlockCtx& ctx, const Qr1DArgs& arg) {
   });
 }
 
-inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
+template <typename Ctx>
+void qr_solve_block_1dcol(Ctx& ctx, const Qr1DArgs& arg) {
+  using F = simt::real_t<Ctx>;
   const int k = ctx.block();
   if (k >= arg.count) return;
   const int n = arg.n, naug = n + 1, p = ctx.nthreads();
@@ -505,9 +503,9 @@ inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
   const std::ptrdiff_t abase = static_cast<std::ptrdiff_t>(k) * n * n;
   const std::ptrdiff_t bbase = static_cast<std::ptrdiff_t>(k) * n;
 
-  auto v_sh = ctx.shared<float>(n);
-  auto head = ctx.shared<float>(8);
-  auto lane = lane_tiles<gfloat>(ctx, n, cpt);
+  auto v_sh = ctx.template shared<float>(n);
+  auto head = ctx.template shared<float>(8);
+  auto lane = lane_tiles<F>(ctx, n, cpt);
 
   ctx.tag(OpTag::load);
   ctx.lanes([&](int t) {
@@ -530,14 +528,14 @@ inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
       if (t != c % p) return;
       auto& A = lane[t];
       const int lc = c / p;
-      gfloat sigma(0.0f);
+      F sigma(0.0f);
       for (int i = c + 1; i < n; ++i) sigma = abs2_acc(A.get(i, lc), sigma);
       const auto refl = make_reflector(A.get(c, lc), sigma);
       store_head(head, refl);
       A.set(c, lc, to_scalar(refl.beta, A.get(c, lc), refl.skip));
-      v_sh.st(c, gfloat(1.0f));
+      v_sh.st(c, F(1.0f));
       for (int i = c + 1; i < n; ++i) {
-        const gfloat v = refl.skip ? gfloat(0.0f) : A.get(i, lc) * refl.inv;
+        const F v = refl.skip ? F(0.0f) : A.get(i, lc) * refl.inv;
         A.set(i, lc, v);
         v_sh.st(i, v);
       }
@@ -547,12 +545,12 @@ inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
     ctx.tag(OpTag::matvec);
     ctx.lanes([&](int t) {
       auto& A = lane[t];
-      const gfloat taup = load_head_skip(head) ? gfloat(0.0f)
-                                               : load_head_applied_tau<gfloat>(head);
+      const F taup = load_head_skip(head) ? F(0.0f)
+                                               : load_head_applied_tau<F>(head);
       for (int jj = 0; jj < cpt; ++jj) {
         const int gj = t + jj * p;
         if (gj <= c || gj >= naug) continue;
-        gfloat w(0.0f);
+        F w(0.0f);
         for (int i = c; i < n; ++i) w = gfma(v_sh.ld(i), A.get(i, jj), w);
         w = w * taup;
         ctx.tag(OpTag::rank1);
@@ -577,7 +575,7 @@ inline void qr_solve_block_1dcol(BlockCtx& ctx, const Qr1DArgs& arg) {
       if (t != n % p) return;
       auto& A = lane[t];
       const int la = n / p;
-      const gfloat x = A.get(c, la) / v_sh.ld(c);
+      const F x = A.get(c, la) / v_sh.ld(c);
       A.set(c, la, x);
       for (int i = 0; i < c; ++i) A.sub(i, la, v_sh.ld(i) * x);
     });

@@ -5,8 +5,6 @@
 
 namespace regla::core {
 
-using simt::BlockCtx;
-using simt::gfloat;
 using simt::OpTag;
 
 GpuBatchResult eig_sym_per_thread(regla::simt::Device& dev, BatchF& batch,
@@ -27,7 +25,8 @@ GpuBatchResult eig_sym_per_thread(regla::simt::Device& dev, BatchF& batch,
   float* ev = eigenvalues.data();
   const int count = batch.count();
 
-  auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto res = dev.launch(spec, [=](auto& ctx) {
+    using F = simt::real_t<decltype(ctx)>;
     ctx.lanes([&](int t) {
       const int k = ctx.block() * ctx.nthreads() + t;
       if (k >= count) return;
@@ -35,7 +34,7 @@ GpuBatchResult eig_sym_per_thread(regla::simt::Device& dev, BatchF& batch,
       const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
 
       ctx.tag(OpTag::load);
-      auto A = ctx.reg_tile<gfloat>(n, n);
+      auto A = ctx.template reg_tile<F>(n, n);
       for (int j = 0; j < n; ++j)
         for (int i = 0; i < n; ++i)
           A.set(i, j, g.ld(base + i + static_cast<std::ptrdiff_t>(j) * n));
@@ -44,26 +43,26 @@ GpuBatchResult eig_sym_per_thread(regla::simt::Device& dev, BatchF& batch,
       for (int s = 0; s < sweeps; ++s) {
         for (int p = 0; p < n - 1; ++p) {
           for (int q = p + 1; q < n; ++q) {
-            const gfloat apq = A.get(p, q);
+            const F apq = A.get(p, q);
             if (apq.value() == 0.0f) continue;
             // Jacobi rotation annihilating A(p,q) (Golub & Van Loan 8.4).
-            const gfloat theta =
-                (A.get(q, q) - A.get(p, p)) / (gfloat(2.0f) * apq);
-            const gfloat t_abs =
-                gfloat(1.0f) /
-                (gabs(theta) + gsqrt(gfma(theta, theta, gfloat(1.0f))));
-            const gfloat t = theta.value() >= 0.0f ? t_abs : -t_abs;
-            const gfloat c = gfloat(1.0f) / gsqrt(gfma(t, t, gfloat(1.0f)));
-            const gfloat sn = t * c;
+            const F theta =
+                (A.get(q, q) - A.get(p, p)) / (F(2.0f) * apq);
+            const F t_abs =
+                F(1.0f) /
+                (gabs(theta) + gsqrt(gfma(theta, theta, F(1.0f))));
+            const F t = theta.value() >= 0.0f ? t_abs : -t_abs;
+            const F c = F(1.0f) / gsqrt(gfma(t, t, F(1.0f)));
+            const F sn = t * c;
             for (int i = 0; i < n; ++i) {
-              const gfloat aip = A.get(i, p);
-              const gfloat aiq = A.get(i, q);
+              const F aip = A.get(i, p);
+              const F aiq = A.get(i, q);
               A.set(i, p, gfma(c, aip, -(sn * aiq)));
               A.set(i, q, gfma(sn, aip, c * aiq));
             }
             for (int i = 0; i < n; ++i) {
-              const gfloat api = A.get(p, i);
-              const gfloat aqi = A.get(q, i);
+              const F api = A.get(p, i);
+              const F aqi = A.get(q, i);
               A.set(p, i, gfma(c, api, -(sn * aqi)));
               A.set(q, i, gfma(sn, api, c * aqi));
             }
@@ -73,10 +72,10 @@ GpuBatchResult eig_sym_per_thread(regla::simt::Device& dev, BatchF& batch,
 
       // Insertion-sort the diagonal (registers only) and store ascending.
       ctx.tag(OpTag::store);
-      gfloat diag[simt::kMaxTileDim];
+      F diag[simt::kMaxTileDim];
       for (int i = 0; i < n; ++i) diag[i] = A.get(i, i);
       for (int i = 1; i < n; ++i) {
-        const gfloat v = diag[i];
+        const F v = diag[i];
         int j = i - 1;
         while (j >= 0 && diag[j].value() > v.value()) {
           diag[j + 1] = diag[j];

@@ -8,8 +8,6 @@
 
 namespace regla::core {
 
-using simt::BlockCtx;
-using simt::gfloat;
 using simt::OpTag;
 
 GpuBatchResult gemm_per_block(regla::simt::Device& dev, const BatchF& a,
@@ -31,10 +29,11 @@ GpuBatchResult gemm_per_block(regla::simt::Device& dev, const BatchF& a,
   spec.regs_per_thread = per_block_regs(dev.config(), m, n, threads, 1);
   spec.name = "gemm_per_block";
 
-  auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto res = dev.launch(spec, [=](auto& ctx) {
+    using F = simt::real_t<decltype(ctx)>;
     const int kidx = ctx.block();
     if (kidx >= count) return;
-    auto lane = detail::lanes_2d<gfloat>(ctx, m, n);
+    auto lane = detail::lanes_2d<F>(ctx, m, n);
     auto ga = ctx.global(a_data);
     auto gb = ctx.global(b_data);
     auto gc = ctx.global(c_data);
@@ -42,14 +41,14 @@ GpuBatchResult gemm_per_block(regla::simt::Device& dev, const BatchF& a,
     const std::ptrdiff_t bbase = static_cast<std::ptrdiff_t>(kidx) * kk * n;
     const std::ptrdiff_t cbase = static_cast<std::ptrdiff_t>(kidx) * m * n;
 
-    auto acol = ctx.shared<float>(m);
-    auto brow = ctx.shared<float>(n);
+    auto acol = ctx.template shared<float>(m);
+    auto brow = ctx.template shared<float>(n);
 
     // Register-only, so it may share the first phase with the staging below.
     ctx.lanes([&](int t) {
       auto& [g2, C] = lane[t];
       for (int jj = 0; jj < g2.wreg; ++jj)
-        for (int ii = 0; ii < g2.hreg; ++ii) C.set(ii, jj, gfloat(0.0f));
+        for (int ii = 0; ii < g2.hreg; ++ii) C.set(ii, jj, F(0.0f));
     });
 
     ctx.tag(OpTag::other);
@@ -70,7 +69,7 @@ GpuBatchResult gemm_per_block(regla::simt::Device& dev, const BatchF& a,
         for (int jj = 0; jj < g2.wreg; ++jj) {
           const int gj = g2.gcol(jj);
           if (gj >= n) continue;
-          const gfloat bj = brow.ld(gj);
+          const F bj = brow.ld(gj);
           for (int ii = 0; ii < g2.hreg; ++ii) {
             const int gi = g2.grow(ii);
             if (gi < m) C.set(ii, jj, gfma(acol.ld(gi), bj, C.get(ii, jj)));

@@ -49,7 +49,7 @@ GpuBatchResult qr_per_block(regla::simt::Device& dev, BatchF& batch,
   const int threads = resolve_threads(dev.config(), opt, m, n);
   if (taus != nullptr) *taus = BatchF(batch.count(), n, 1);
 
-  detail::QrBlockArgs<simt::gfloat> arg;
+  detail::QrBlockArgs<float> arg;
   arg.a = batch.data();
   arg.taus = taus ? taus->data() : nullptr;
   arg.m = m;
@@ -58,8 +58,8 @@ GpuBatchResult qr_per_block(regla::simt::Device& dev, BatchF& batch,
 
   const auto spec = block_spec(dev.config(), batch.count(), threads, m, n, 1,
                                "qr_per_block");
-  auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::qr_block_2d<simt::gfloat>(ctx, arg);
+  auto res = dev.launch(spec, [arg](auto& ctx) {
+    detail::qr_block_2d(ctx, arg);
   });
   return GpuBatchResult{res, model::qr_flops(m, n) * batch.count()};
 }
@@ -73,7 +73,7 @@ GpuBatchResult qr_per_block(regla::simt::Device& dev, BatchC& batch,
   const int threads = resolve_threads(dev.config(), opt, m, n);
   if (taus != nullptr) *taus = BatchC(batch.count(), n, 1);
 
-  detail::QrBlockArgs<simt::gcomplex> arg;
+  detail::QrBlockArgs<std::complex<float>> arg;
   arg.a = batch.data();
   arg.taus = taus ? taus->data() : nullptr;
   arg.m = m;
@@ -82,8 +82,8 @@ GpuBatchResult qr_per_block(regla::simt::Device& dev, BatchC& batch,
 
   const auto spec = block_spec(dev.config(), batch.count(), threads, m, n, 2,
                                "cqr_per_block");
-  auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::qr_block_2d<simt::gcomplex>(ctx, arg);
+  auto res = dev.launch(spec, [arg](auto& ctx) {
+    detail::qr_block_2d(ctx, arg);
   });
   return GpuBatchResult{res, model::cqr_flops(m, n) * batch.count()};
 }
@@ -97,7 +97,7 @@ GpuBatchResult qr_solve_per_block(regla::simt::Device& dev, BatchF& a,
 
   simt::LaunchResult res;
   if (opt.layout == Layout::cyclic2d) {
-    detail::QrBlockArgs<simt::gfloat> arg;
+    detail::QrBlockArgs<float> arg;
     arg.a = a.data();
     arg.b = b.data();
     arg.m = n;
@@ -106,8 +106,8 @@ GpuBatchResult qr_solve_per_block(regla::simt::Device& dev, BatchF& a,
     arg.solve = true;
     const auto spec = block_spec(dev.config(), a.count(), threads, n, n + 1, 1,
                                  "qr_solve_per_block_2d");
-    res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-      detail::qr_block_2d<simt::gfloat>(ctx, arg);
+    res = dev.launch(spec, [arg](auto& ctx) {
+      detail::qr_block_2d(ctx, arg);
     });
   } else {
     detail::Qr1DArgs arg;
@@ -126,7 +126,7 @@ GpuBatchResult qr_solve_per_block(regla::simt::Device& dev, BatchF& a,
       spec.regs_per_thread =
           std::min(dev.config().max_regs_per_thread,
                    rpt * (n + 1) + dev.config().reg_overhead_per_thread);
-      res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
+      res = dev.launch(spec, [arg](auto& ctx) {
         detail::qr_solve_block_1drow(ctx, arg);
       });
     } else {
@@ -134,7 +134,7 @@ GpuBatchResult qr_solve_per_block(regla::simt::Device& dev, BatchF& a,
       spec.regs_per_thread =
           std::min(dev.config().max_regs_per_thread,
                    cpt * n + dev.config().reg_overhead_per_thread);
-      res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
+      res = dev.launch(spec, [arg](auto& ctx) {
         detail::qr_solve_block_1dcol(ctx, arg);
       });
     }
@@ -159,7 +159,7 @@ GpuBatchResult lu_per_block(regla::simt::Device& dev, BatchF& batch,
 
   const auto spec = block_spec(dev.config(), batch.count(), threads, n, n, 1,
                                "lu_per_block");
-  auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
+  auto res = dev.launch(spec, [arg](auto& ctx) {
     detail::lu_block_2d(ctx, arg);
   });
   return GpuBatchResult{res, model::lu_flops(n) * batch.count()};
@@ -184,7 +184,7 @@ GpuBatchResult gj_solve_per_block(regla::simt::Device& dev, BatchF& a, BatchF& b
 
   const auto spec = block_spec(dev.config(), a.count(), threads, n, n + 1, 1,
                                "gj_solve_per_block");
-  auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
+  auto res = dev.launch(spec, [arg](auto& ctx) {
     detail::gj_block_2d(ctx, arg);
   });
   return GpuBatchResult{res, model::gj_flops(n) * a.count()};
@@ -199,7 +199,7 @@ GpuBatchResult ls_per_block(regla::simt::Device& dev, BatchF& a, BatchF& b,
                   "least squares is implemented for the 2D layout");
   const int threads = resolve_threads(dev.config(), opt, m, n + 1);
 
-  detail::QrBlockArgs<simt::gfloat> arg;
+  detail::QrBlockArgs<float> arg;
   arg.a = a.data();
   arg.b = b.data();
   arg.m = m;
@@ -209,8 +209,8 @@ GpuBatchResult ls_per_block(regla::simt::Device& dev, BatchF& a, BatchF& b,
 
   const auto spec = block_spec(dev.config(), a.count(), threads, m, n + 1, 1,
                                "ls_per_block");
-  auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::qr_block_2d<simt::gfloat>(ctx, arg);
+  auto res = dev.launch(spec, [arg](auto& ctx) {
+    detail::qr_block_2d(ctx, arg);
   });
   return GpuBatchResult{res, model::ls_flops(m, n) * a.count()};
 }

@@ -26,7 +26,7 @@ GpuBatchResult cholesky_per_block(regla::simt::Device& dev, BatchF& batch,
   spec.threads = threads;
   spec.regs_per_thread = per_block_regs(dev.config(), n, n, threads, 1);
   spec.name = "cholesky_per_block";
-  auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
+  auto res = dev.launch(spec, [arg](auto& ctx) {
     detail::cholesky_block_2d(ctx, arg);
   });
   return GpuBatchResult{res, model::cholesky_flops(n) * batch.count()};
@@ -60,7 +60,7 @@ GpuBatchResult trsm_lower_per_block(regla::simt::Device& dev, const BatchF& l,
       std::min(dev.config().max_regs_per_thread,
                n * cpt / 2 + dev.config().reg_overhead_per_thread);
   spec.name = "trsm_lower_per_block";
-  auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
+  auto res = dev.launch(spec, [arg](auto& ctx) {
     detail::trsm_lower_block(ctx, arg);
   });
   return GpuBatchResult{res, model::trsm_flops(n) * l.count()};
@@ -87,7 +87,7 @@ GpuBatchResult lu_pivot_per_block(regla::simt::Device& dev, BatchF& batch,
   spec.threads = threads;
   spec.regs_per_thread = per_block_regs(dev.config(), n, n, threads, 1);
   spec.name = "lu_pivot_per_block";
-  auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
+  auto res = dev.launch(spec, [arg](auto& ctx) {
     detail::lu_pivot_block_2d(ctx, arg);
   });
   return GpuBatchResult{res, model::lu_flops(n) * batch.count()};
@@ -95,11 +95,10 @@ GpuBatchResult lu_pivot_per_block(regla::simt::Device& dev, BatchF& batch,
 
 namespace {
 
-template <typename S, typename Batch>
+template <typename Store, typename Batch>
 GpuBatchResult normal_eq_impl(regla::simt::Device& dev, const Batch& r,
                               const Batch& v, Batch& w, int threads,
                               double flops_per_problem) {
-  using Store = typename detail::StorageOf<S>::type;
   const int n = r.cols();
   REGLA_CHECK(r.rows() == n);
   REGLA_CHECK(v.count() == r.count() && v.rows() == n && v.cols() == 1);
@@ -111,7 +110,7 @@ GpuBatchResult normal_eq_impl(regla::simt::Device& dev, const Batch& r,
   REGLA_CHECK_MSG(n * cpt * wpe <= simt::kMaxTileElems * wpe,
                   "normal-eq solve: n too large for one block");
 
-  detail::NormalEqArgs<S> arg;
+  detail::NormalEqArgs<Store> arg;
   arg.r = r.data();
   arg.v = v.data();
   arg.w = w.data();
@@ -125,8 +124,8 @@ GpuBatchResult normal_eq_impl(regla::simt::Device& dev, const Batch& r,
       std::min(dev.config().max_regs_per_thread,
                n * cpt * wpe / 2 + dev.config().reg_overhead_per_thread);
   spec.name = "normal_eq_solve_per_block";
-  auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::normal_eq_solve_block<S>(ctx, arg);
+  auto res = dev.launch(spec, [arg](auto& ctx) {
+    detail::normal_eq_solve_block(ctx, arg);
   });
   return GpuBatchResult{res, flops_per_problem * r.count()};
 }
@@ -137,19 +136,19 @@ GpuBatchResult normal_eq_solve_per_block(regla::simt::Device& dev,
                                          const BatchF& r, const BatchF& v,
                                          BatchF& w, int threads) {
   const double n = r.cols();
-  return normal_eq_impl<simt::gfloat>(dev, r, v, w, threads, 4.0 * n * n);
+  return normal_eq_impl<float>(dev, r, v, w, threads, 4.0 * n * n);
 }
 
 GpuBatchResult normal_eq_solve_per_block(regla::simt::Device& dev,
                                          const BatchC& r, const BatchC& v,
                                          BatchC& w, int threads) {
   const double n = r.cols();
-  return normal_eq_impl<simt::gcomplex>(dev, r, v, w, threads, 16.0 * n * n);
+  return normal_eq_impl<std::complex<float>>(dev, r, v, w, threads, 16.0 * n * n);
 }
 
 namespace {
 
-template <typename S, typename Batch>
+template <typename Store, typename Batch>
 GpuBatchResult apply_qt_impl(regla::simt::Device& dev, const Batch& qr,
                              const Batch& taus, Batch& b, int threads,
                              int flops_scale) {
@@ -158,7 +157,7 @@ GpuBatchResult apply_qt_impl(regla::simt::Device& dev, const Batch& qr,
   REGLA_CHECK(b.count() == qr.count() && b.rows() == m && b.cols() == 1);
   if (threads == 0) threads = model::choose_block_threads(dev.config(), m, n);
 
-  detail::ApplyQtArgs<S> arg;
+  detail::ApplyQtArgs<Store> arg;
   arg.qr = qr.data();
   arg.taus = taus.data();
   arg.b = b.data();
@@ -166,14 +165,14 @@ GpuBatchResult apply_qt_impl(regla::simt::Device& dev, const Batch& qr,
   arg.n = n;
   arg.count = qr.count();
 
-  constexpr int wpe = static_cast<int>(sizeof(S) / 4);
+  constexpr int wpe = static_cast<int>(sizeof(Store) / 4);
   simt::LaunchSpec spec;
   spec.blocks = qr.count();
   spec.threads = threads;
   spec.regs_per_thread = per_block_regs(dev.config(), m, n, threads, wpe);
   spec.name = "apply_qt_per_block";
-  auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-    detail::apply_qt_block_2d<S>(ctx, arg);
+  auto res = dev.launch(spec, [arg](auto& ctx) {
+    detail::apply_qt_block_2d(ctx, arg);
   });
   const double flops =
       flops_scale * (2.0 * m * n - static_cast<double>(n) * n) * qr.count();
@@ -184,12 +183,12 @@ GpuBatchResult apply_qt_impl(regla::simt::Device& dev, const Batch& qr,
 
 GpuBatchResult apply_qt_per_block(regla::simt::Device& dev, const BatchF& qr,
                                   const BatchF& taus, BatchF& b, int threads) {
-  return apply_qt_impl<simt::gfloat>(dev, qr, taus, b, threads, 2);
+  return apply_qt_impl<float>(dev, qr, taus, b, threads, 2);
 }
 
 GpuBatchResult apply_qt_per_block(regla::simt::Device& dev, const BatchC& qr,
                                   const BatchC& taus, BatchC& b, int threads) {
-  return apply_qt_impl<simt::gcomplex>(dev, qr, taus, b, threads, 8);
+  return apply_qt_impl<std::complex<float>>(dev, qr, taus, b, threads, 8);
 }
 
 }  // namespace regla::core

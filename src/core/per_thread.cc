@@ -6,8 +6,6 @@
 
 namespace regla::core {
 
-using simt::BlockCtx;
-using simt::gfloat;
 using simt::Global;
 using simt::OpTag;
 using simt::RegTile;
@@ -31,16 +29,20 @@ simt::LaunchSpec per_thread_spec(const simt::DeviceConfig& cfg, int count,
 }
 
 /// Load this thread's matrix from global memory into its register tile.
-void load_tile(BlockCtx& ctx, Global<float>& g, std::ptrdiff_t base,
-               RegTile<gfloat>& a, int m, int n) {
+template <typename Ctx>
+void load_tile(Ctx& ctx, const Global<float, simt::counted_v<Ctx>>& g,
+               std::ptrdiff_t base, RegTile<simt::real_t<Ctx>>& a, int m,
+               int n) {
   ctx.tag(OpTag::load);
   for (int j = 0; j < n; ++j)
     for (int i = 0; i < m; ++i)
       a.set(i, j, g.ld(base + i + static_cast<std::ptrdiff_t>(j) * m));
 }
 
-void store_tile(BlockCtx& ctx, Global<float>& g, std::ptrdiff_t base,
-                const RegTile<gfloat>& a, int m, int n) {
+template <typename Ctx>
+void store_tile(Ctx& ctx, const Global<float, simt::counted_v<Ctx>>& g,
+                std::ptrdiff_t base, const RegTile<simt::real_t<Ctx>>& a,
+                int m, int n) {
   ctx.tag(OpTag::store);
   for (int j = 0; j < n; ++j)
     for (int i = 0; i < m; ++i)
@@ -63,35 +65,36 @@ GpuBatchResult qr_per_thread(regla::simt::Device& dev, BatchF& batch,
   float* tau_data = taus ? taus->data() : nullptr;
   const int count = batch.count();
 
-  auto result = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto result = dev.launch(spec, [=](auto& ctx) {
+    using F = simt::real_t<decltype(ctx)>;
     ctx.lanes([&](int t) {
       const int k = ctx.block() * ctx.nthreads() + t;
       if (k >= count) return;
       auto g = ctx.global(data);
       const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
-      auto a = ctx.reg_tile<gfloat>(n, n);
+      auto a = ctx.template reg_tile<F>(n, n);
       load_tile(ctx, g, base, a, n, n);
 
       ctx.tag(OpTag::other);
-      gfloat tau_col[64];  // n*n <= kMaxTileElems bounds n at 32
+      F tau_col[64];  // n*n <= kMaxTileElems bounds n at 32
       for (int c = 0; c < n; ++c) {
         // Column norm^2 below (and including) the diagonal.
-        gfloat sigma = 0.0f;
+        F sigma = 0.0f;
         for (int i = c + 1; i < n; ++i) sigma = gfma(a.get(i, c), a.get(i, c), sigma);
-        const gfloat alpha = a.get(c, c);
+        const F alpha = a.get(c, c);
         if (sigma.value() == 0.0f) {
           tau_col[c] = 0.0f;
           continue;
         }
-        gfloat beta = gsqrt(gfma(alpha, alpha, sigma));
+        F beta = gsqrt(gfma(alpha, alpha, sigma));
         if (alpha.value() > 0.0f) beta = -beta;
         tau_col[c] = (beta - alpha) / beta;
-        const gfloat inv = gfloat(1.0f) / (alpha - beta);
+        const F inv = F(1.0f) / (alpha - beta);
         for (int i = c + 1; i < n; ++i) a.scale(i, c, inv);
         a.set(c, c, beta);
         // Apply H = I - tau v v^T to the trailing columns.
         for (int j = c + 1; j < n; ++j) {
-          gfloat w = a.get(c, j);
+          F w = a.get(c, j);
           for (int i = c + 1; i < n; ++i) w = gfma(a.get(i, c), a.get(i, j), w);
           w = w * tau_col[c];
           a.sub(c, j, w);
@@ -121,21 +124,22 @@ GpuBatchResult lu_per_thread(regla::simt::Device& dev, BatchF& batch) {
   float* data = batch.data();
   const int count = batch.count();
 
-  auto result = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto result = dev.launch(spec, [=](auto& ctx) {
+    using F = simt::real_t<decltype(ctx)>;
     ctx.lanes([&](int t) {
       const int k = ctx.block() * ctx.nthreads() + t;
       if (k >= count) return;
       auto g = ctx.global(data);
       const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(k) * n * n;
-      auto a = ctx.reg_tile<gfloat>(n, n);
+      auto a = ctx.template reg_tile<F>(n, n);
       load_tile(ctx, g, base, a, n, n);
 
       ctx.tag(OpTag::other);
       for (int c = 0; c < n - 1; ++c) {
-        const gfloat inv = gfloat(1.0f) / a.get(c, c);
+        const F inv = F(1.0f) / a.get(c, c);
         for (int i = c + 1; i < n; ++i) a.scale(i, c, inv);
         for (int j = c + 1; j < n; ++j) {
-          const gfloat u = a.get(c, j);
+          const F u = a.get(c, j);
           for (int i = c + 1; i < n; ++i) a.sub(i, j, a.get(i, c) * u);
         }
       }
@@ -162,7 +166,8 @@ GpuBatchResult gj_solve_per_thread(regla::simt::Device& dev, BatchF& a,
   int* flag_data = flags ? flags->data() : nullptr;
   const int count = a.count();
 
-  auto result = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto result = dev.launch(spec, [=](auto& ctx) {
+    using F = simt::real_t<decltype(ctx)>;
     ctx.lanes([&](int tid) {
       const int k = ctx.block() * ctx.nthreads() + tid;
       if (k >= count) return;
@@ -172,7 +177,7 @@ GpuBatchResult gj_solve_per_thread(regla::simt::Device& dev, BatchF& a,
       const std::ptrdiff_t bbase = static_cast<std::ptrdiff_t>(k) * n;
 
       // Augmented tile [A | b]: the paper attaches b to the right of A.
-      auto t = ctx.reg_tile<gfloat>(n, n + 1);
+      auto t = ctx.template reg_tile<F>(n, n + 1);
       ctx.tag(OpTag::load);
       for (int j = 0; j < n; ++j)
         for (int i = 0; i < n; ++i)
@@ -183,11 +188,11 @@ GpuBatchResult gj_solve_per_thread(regla::simt::Device& dev, BatchF& a,
       bool solved = true;
       for (int c = 0; c < n; ++c) {
         if (t.get(c, c).value() == 0.0f) { solved = false; break; }
-        const gfloat inv = gfloat(1.0f) / t.get(c, c);
+        const F inv = F(1.0f) / t.get(c, c);
         for (int j = c; j <= n; ++j) t.scale(c, j, inv);
         for (int i = 0; i < n; ++i) {
           if (i == c) continue;
-          const gfloat f = t.get(i, c);
+          const F f = t.get(i, c);
           for (int j = c; j <= n; ++j) t.sub(i, j, f * t.get(c, j));
         }
       }

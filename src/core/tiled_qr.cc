@@ -24,19 +24,10 @@ int max_stacked_rows(const simt::DeviceConfig& cfg, int n, int words_per_elem) {
   return model::tiled_max_stacked_rows(cfg, n, words_per_elem);
 }
 
-template <typename S>
-struct BatchOf;
-template <>
-struct BatchOf<simt::gfloat> { using type = BatchF; };
-template <>
-struct BatchOf<simt::gcomplex> { using type = BatchC; };
-
-template <typename S>
-TiledResult tiled_qr_impl(simt::Device& dev,
-                          typename BatchOf<S>::type& batch,
-                          typename BatchOf<S>::type& out_r) {
-  using Batch = typename BatchOf<S>::type;
-  using Store = typename detail::StorageOf<S>::type;
+template <typename Store>
+TiledResult tiled_qr_impl(simt::Device& dev, BatchedMatrix<Store>& batch,
+                          BatchedMatrix<Store>& out_r) {
+  using Batch = BatchedMatrix<Store>;
   constexpr int wpe = static_cast<int>(sizeof(Store) / 4);
 
   const int m = batch.rows(), n = batch.cols(), count = batch.count();
@@ -79,7 +70,7 @@ TiledResult tiled_qr_impl(simt::Device& dev,
           stacked.at(k, row + i, j) = batch.at(k, consumed + i, j);
     }
 
-    detail::QrBlockArgs<S> arg;
+    detail::QrBlockArgs<Store> arg;
     arg.a = stacked.data();
     arg.m = rows;
     arg.n = n;
@@ -90,8 +81,8 @@ TiledResult tiled_qr_impl(simt::Device& dev,
     spec.threads = 256;
     spec.regs_per_thread = per_block_regs(dev.config(), rows, n, 256, wpe);
     spec.name = "tiled_qr_step";
-    auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-      detail::qr_block_2d<S>(ctx, arg);
+    auto res = dev.launch(spec, [arg](auto& ctx) {
+      detail::qr_block_2d(ctx, arg);
     });
     out.seconds += res.seconds;
     out.chip_cycles += res.chip_cycles;
@@ -112,11 +103,11 @@ bool fits_one_block(const regla::simt::DeviceConfig& cfg, int m, int n,
 }
 
 TiledResult tiled_qr_r(regla::simt::Device& dev, BatchF& batch, BatchF& out_r) {
-  return tiled_qr_impl<simt::gfloat>(dev, batch, out_r);
+  return tiled_qr_impl(dev, batch, out_r);
 }
 
 TiledResult tiled_qr_r(regla::simt::Device& dev, BatchC& batch, BatchC& out_r) {
-  return tiled_qr_impl<simt::gcomplex>(dev, batch, out_r);
+  return tiled_qr_impl(dev, batch, out_r);
 }
 
 TiledResult tiled_least_squares(regla::simt::Device& dev, BatchF& a, BatchF& b,
@@ -160,7 +151,7 @@ TiledResult tiled_least_squares(regla::simt::Device& dev, BatchF& a, BatchF& b,
         bvec.at(k, off + i, 0) = b.at(k, consumed + i, 0);
     }
 
-    detail::QrBlockArgs<simt::gfloat> arg;
+    detail::QrBlockArgs<float> arg;
     arg.a = stacked.data();
     arg.b = bvec.data();
     arg.m = rows;
@@ -174,8 +165,8 @@ TiledResult tiled_least_squares(regla::simt::Device& dev, BatchF& a, BatchF& b,
     spec.threads = 256;
     spec.regs_per_thread = per_block_regs(dev.config(), rows, n + 1, 256, 1);
     spec.name = "tiled_ls_step";
-    auto res = dev.launch(spec, [arg](simt::BlockCtx& ctx) {
-      detail::qr_block_2d<simt::gfloat>(ctx, arg);
+    auto res = dev.launch(spec, [arg](auto& ctx) {
+      detail::qr_block_2d(ctx, arg);
     });
     out.seconds += res.seconds;
     out.chip_cycles += res.chip_cycles;

@@ -7,8 +7,6 @@
 
 namespace regla::microbench {
 
-using simt::BlockCtx;
-using simt::gfloat;
 
 namespace {
 
@@ -25,21 +23,22 @@ double shared_copy_cycles(regla::simt::Device& dev, int blocks, int iters) {
   spec.regs_per_thread = 24;
   spec.name = "shared_copy";
   constexpr int kCopies = 8;
-  auto res = dev.launch(spec, [iters](BlockCtx& ctx) {
-    auto smem = ctx.shared<float>(256 * kCopies);
+  auto res = dev.launch(spec, [iters](auto& ctx) {
+    using F = simt::real_t<decltype(ctx)>;
+    auto smem = ctx.template shared<float>(256 * kCopies);
     // Warm the arena (stores are not part of the timed loop on hardware
     // either — the paper times steady-state loads).
     ctx.lanes([&](int t) {
-      for (int j = 0; j < kCopies; ++j) smem.st(t + j * 256, gfloat(1.0f));
+      for (int j = 0; j < kCopies; ++j) smem.st(t + j * 256, F(1.0f));
     });
     ctx.sync();
     ctx.lanes([&](int t) {
-      gfloat acc[kCopies];
+      F acc[kCopies];
       for (int i = 0; i < iters; ++i)
         for (int j = 0; j < kCopies; ++j) acc[j] += smem.ld(t + j * 256);
       // Defeat "dead code" concerns the way CUDA benchmarks do: fold acc
       // into a store no one reads.
-      gfloat sum(0.0f);
+      F sum(0.0f);
       for (int j = 0; j < kCopies; ++j) sum += acc[j];
       smem.st(t, sum);
     });
@@ -86,7 +85,7 @@ double global_copy_gbs(regla::simt::Device& dev, std::size_t megabytes) {
   spec.name = "global_copy";
   float* xp = x.data();
   float* yp = y.data();
-  auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto res = dev.launch(spec, [=](auto& ctx) {
     auto gx = ctx.global(xp);
     auto gy = ctx.global(yp);
     // Grid-strided unrolled copy: warp-contiguous, fully coalesced.
@@ -112,8 +111,8 @@ double shared_latency_cycles(regla::simt::Device& dev) {
     spec.threads = 1;
     spec.regs_per_thread = 16;
     spec.name = "shared_chase";
-    auto res = dev.launch(spec, [steps](BlockCtx& ctx) {
-      auto smem = ctx.shared<int>(1024);
+    auto res = dev.launch(spec, [steps](auto& ctx) {
+      auto smem = ctx.template shared<int>(1024);
       ctx.lanes([&](int) {
         for (int i = 0; i < 1024; ++i) smem.st(i, (i + 1) & 1023);
       });
@@ -140,7 +139,7 @@ double global_latency_cycles(regla::simt::Device& dev, std::size_t stride_words,
     spec.threads = 1;
     spec.regs_per_thread = 16;
     spec.name = "global_chase";
-    auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+    auto res = dev.launch(spec, [=](auto& ctx) {
       auto g = ctx.global(base);
       // Non-wrapping walk: the hardware benchmark's array (len_words) is far
       // larger than steps * stride revisits, so the chase never re-touches a
@@ -167,7 +166,7 @@ double sync_latency_cycles(regla::simt::Device& dev, int threads) {
     spec.threads = threads;
     spec.regs_per_thread = 16;
     spec.name = "sync_chain";
-    auto res = dev.launch(spec, [count](BlockCtx& ctx) {
+    auto res = dev.launch(spec, [count](auto& ctx) {
       for (int i = 0; i < count; ++i) ctx.sync();
     });
     return res.chip_cycles;
@@ -184,11 +183,12 @@ double fp_pipeline_cycles(regla::simt::Device& dev) {
     spec.threads = 1;
     spec.regs_per_thread = 16;
     spec.name = "fma_chain";
-    auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+    auto res = dev.launch(spec, [=](auto& ctx) {
+    using F = simt::real_t<decltype(ctx)>;
       ctx.lanes([&](int) {
-        gfloat acc(1.0f);
+        F acc(1.0f);
         for (int i = 0; i < steps; ++i)
-          acc = simt::gfma_dep(acc, gfloat(1.0000001f), gfloat(1e-7f), pipe);
+          acc = simt::gfma_dep(acc, F(1.0000001f), F(1e-7f), pipe);
       });
     });
     return res.chip_cycles;

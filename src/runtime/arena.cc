@@ -35,6 +35,11 @@ struct Arena::State {
   std::vector<std::byte*> slabs;
   /// Free blocks per exact (rounded) size class.
   std::map<std::size_t, AddrHeap> free;
+  /// The obs instruments every lease reports to, resolved once: counter()
+  /// and gauge() take the registry mutex and hash the name.
+  obs::Counter& allocs = obs::counter("runtime.payload_allocs");
+  obs::Counter& reuses = obs::counter("runtime.payload_reuses");
+  obs::Gauge& bytes_reserved = obs::gauge("runtime.payload_bytes_reserved");
 
   ~State() {
     for (std::byte* s : slabs) std::free(s);
@@ -55,6 +60,7 @@ Arena::Lease Arena::lease(std::size_t bytes) {
                                   st.opt.alignment);
   std::byte* p = nullptr;
   bool fresh_slab = false;
+  std::uint64_t reserved = 0;
   {
     std::lock_guard<std::mutex> lock(st.mu);
     AddrHeap& heap = st.free[sz];
@@ -84,13 +90,13 @@ Arena::Lease Arena::lease(std::size_t bytes) {
     }
     ++st.stats.leases;
     st.stats.bytes_leased += sz;
+    reserved = st.stats.bytes_reserved;
   }
   if (fresh_slab) {
-    obs::counter("runtime.payload_allocs").add();
-    obs::gauge("runtime.payload_bytes_reserved")
-        .set(static_cast<double>(stats().bytes_reserved));
+    st.allocs.add();
+    st.bytes_reserved.set(static_cast<double>(reserved));
   } else {
-    obs::counter("runtime.payload_reuses").add();
+    st.reuses.add();
   }
 
   Lease l;

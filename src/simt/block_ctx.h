@@ -1,13 +1,18 @@
 // BlockCtx: the device-side view of one simulated thread block — CUDA's
-// blockIdx / threadIdx / __syncthreads() / __shared__ equivalents,
-// instrumented.
+// blockIdx / threadIdx / __syncthreads() / __shared__ equivalents.
 //
-// A kernel is any callable `void(BlockCtx&)`; the engine runs it once per
-// block. Its body is a sequence of barrier-delimited phases (MCUDA-style loop
-// fission at __syncthreads, Stratton et al. 2008):
+// A kernel is a generic callable `[](auto& ctx) { ... }`; the engine compiles
+// it twice, once per counting policy, and runs it once per block:
+// BlockCtx<true> records every lane's events and folds them at each barrier,
+// BlockCtx<false> runs the same source with no counters at all (blocks whose
+// accounting the replay cache already holds, DESIGN.md §13). A kernel names
+// its scalars through the context — real_t<Ctx>, device_t<Ctx, T> — so both
+// instantiations come from one source. Its body is a sequence of
+// barrier-delimited phases (MCUDA-style loop fission at __syncthreads,
+// Stratton et al. 2008):
 //
-//   auto sh = ctx.shared<float>(n);                 // block scope: declare
-//   auto lane = ctx.lane_state<Tile>(make_tile);    // per-lane registers
+//   auto sh = ctx.template shared<float>(n);        // block scope: declare
+//   auto lane = ctx.lane_state(make_tile);          // per-lane registers
 //   ctx.lanes([&](int tid) { ... });                // phase: every live lane
 //   ctx.sync();                                     // barrier
 //   ctx.lanes([&](int tid) { ... });
@@ -27,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -106,11 +112,15 @@ class LaneState {
   int n_ = 0;
 };
 
+template <bool Counted>
 class BlockCtx {
  public:
-  /// `instr` is null on the replay fast path: no counters, no folds.
+  static constexpr bool counted = Counted;
+
+  /// A counted block records into `instr` through the per-lane counters
+  /// `lane_stats` (both non-null); a counter-free block takes neither.
   BlockCtx(const DeviceConfig& cfg, int block, int nblocks, int nthreads,
-           BlockInstr* instr, ThreadStats* lane_stats)
+           BlockInstr* instr = nullptr, ThreadStats* lane_stats = nullptr)
       : cfg_(&cfg), block_(block), nblocks_(nblocks), nthreads_(nthreads),
         instr_(instr), lane_stats_(lane_stats), chase_(cfg),
         lanes_per_word_(std::min(cfg.warp_size, 32)), alive_(nthreads) {
@@ -130,8 +140,8 @@ class BlockCtx {
 
   // --- phases ------------------------------------------------------------
   /// Run one phase's code, `body(tid)`, for every live lane in ascending
-  /// tid. On the instrumented path each lane's device operations are
-  /// charged to that lane's counters.
+  /// tid. A counted block charges each lane's device operations to that
+  /// lane's counters.
   template <typename F>
   void lanes(F&& body) {
     for (std::size_t w = 0; w < live_.size(); ++w) {
@@ -141,11 +151,11 @@ class BlockCtx {
         const int t = base + std::countr_zero(mask);
         mask &= mask - 1;
         lane_ = t;
-        if (lane_stats_ != nullptr) current_stats() = lane_stats_ + t;
+        if constexpr (Counted) current_stats() = lane_stats_ + t;
         body(t);
       }
     }
-    current_stats() = nullptr;
+    if constexpr (Counted) current_stats() = nullptr;
     lane_ = -1;
     if (alive_ == 0) finish();  // every lane has returned
   }
@@ -165,19 +175,23 @@ class BlockCtx {
   /// __syncthreads(): closes the current phase. Once every lane has retired
   /// there is nothing left to synchronize and it does nothing.
   void sync() {
-    if (alive_ > 0 && instr_ != nullptr) close_phase(/*ended_with_sync=*/true);
+    if constexpr (Counted)
+      if (alive_ > 0) close_phase(/*ended_with_sync=*/true);
   }
 
   /// Per-lane state that lives across barriers — the registers a CUDA thread
-  /// keeps over __syncthreads(): `init(tid)` builds lane tid's L.
-  template <typename L, typename Init>
-  LaneState<L> lane_state(Init&& init) {
+  /// keeps over __syncthreads(): `init(tid)` builds lane tid's state, whose
+  /// type is what `init` returns.
+  template <typename Init>
+  auto lane_state(Init&& init) {
+    using L = std::decay_t<std::invoke_result_t<Init&, int>>;
     return LaneState<L>(nthreads_, std::forward<Init>(init));
   }
 
   /// Engine hook: the kernel body returned; folds the final phase.
   void finish() {
-    if (!finished_ && instr_ != nullptr) close_phase(/*ended_with_sync=*/false);
+    if constexpr (Counted)
+      if (!finished_) close_phase(/*ended_with_sync=*/false);
     finished_ = true;
   }
 
@@ -187,23 +201,27 @@ class BlockCtx {
   /// rule that every thread makes the same __shared__ declarations, so a
   /// thread-dependent size cannot be expressed.
   template <typename T>
-  SharedArray<T> shared(int elems) {
+  SharedArray<T, Counted> shared(int elems) {
     REGLA_CHECK_MSG(lane_ < 0,
                     "shared arrays are declared at block scope, not per lane");
     auto& arena = shared_.create(static_cast<std::size_t>(elems) * sizeof(T));
-    return SharedArray<T>(&arena, elems, cfg_->shared_latency_cycles);
+    return SharedArray<T, Counted>(arena, elems, cfg_->shared_latency_cycles);
   }
 
   /// Wrap a host pointer as device global memory.
   template <typename T>
-  Global<T> global(T* ptr) {
-    return Global<T>(ptr, *cfg_, &chase_);
+  Global<T, Counted> global(T* ptr) {
+    return Global<T, Counted>(ptr, *cfg_, &chase_);
   }
 
-  /// Per-thread register tile; spill accounting uses the machine's register
-  /// budget minus the bookkeeping registers every kernel needs.
+  /// Per-thread register tile of device values V (real_t<Ctx> or
+  /// device_t<Ctx, std::complex<float>>); spill accounting uses the
+  /// machine's register budget minus the bookkeeping registers every kernel
+  /// needs.
   template <typename V>
   RegTile<V> reg_tile(int h, int w) const {
+    static_assert(V::counted == Counted,
+                  "a tile's scalars follow the block's counting policy");
     const int words_per_elem = static_cast<int>(sizeof(V) / 4);
     const int budget_words =
         cfg_->max_regs_per_thread - cfg_->reg_overhead_per_thread;
@@ -226,8 +244,8 @@ class BlockCtx {
   int block_;
   int nblocks_;
   int nthreads_;
-  BlockInstr* instr_;
-  ThreadStats* lane_stats_;
+  BlockInstr* instr_;        ///< counted blocks only
+  ThreadStats* lane_stats_;  ///< counted blocks only
   SharedSpace shared_;
   ChaseModel chase_;
   OpTag tag_ = OpTag::other;
@@ -243,5 +261,21 @@ class BlockCtx {
 
   int lane_ = -1;  ///< lane running inside lanes(), -1 at block scope
 };
+
+/// Only counted blocks fold phases (engine.cc).
+template <>
+void BlockCtx<true>::close_phase(bool ended_with_sync);
+
+/// The counting policy of a kernel context, and the device scalars a kernel
+/// computes with under it: a kernel written against these compiles to both
+/// the counted and the counter-free instantiation from one source.
+template <typename Ctx>
+inline constexpr bool counted_v = std::remove_cvref_t<Ctx>::counted;
+template <typename Ctx>
+using real_t = basic_gfloat<counted_v<Ctx>>;
+/// The device value for storage type T: float -> real_t, complex<float> ->
+/// basic_gcomplex, anything else (int flags) -> T itself.
+template <typename Ctx, typename T>
+using device_t = typename detail::DeviceValue<T, counted_v<Ctx>>::type;
 
 }  // namespace regla::simt

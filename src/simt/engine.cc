@@ -99,7 +99,8 @@ struct BlockInstr {
   BlockRun run;
 };
 
-void BlockCtx::close_phase(bool ended_with_sync) {
+template <>
+void BlockCtx<true>::close_phase(bool ended_with_sync) {
   instr_->run.phases.push_back(fold_phase(*cfg_, instr_->stats, tag_, panel_,
                                           ended_with_sync, &instr_->scratch));
   if (ended_with_sync) ++instr_->run.syncs;
@@ -134,18 +135,26 @@ void* LaneArena::alloc(std::size_t bytes, std::size_t align) {
 namespace {
 
 /// Run one block: the kernel body once, each phase as a loop over the live
-/// lanes. Instrumented, every lane's counters are recorded and folded into a
-/// PhaseRecord at each barrier and when the body returns; otherwise (the
-/// replay fast path) current_stats() stays null, so the instrumented device
-/// types skip their recording branches and the numerics are bit-identical.
+/// lanes. Instrumented, the body's counted instantiation records every
+/// lane's counters and folds them into a PhaseRecord at each barrier and
+/// when the body returns. Otherwise (the replay fast path) its counter-free
+/// instantiation runs: the same arithmetic and bounds checks with no
+/// counters, so the numerics are bit-identical.
+template <typename Body>
 BlockRun run_block(const DeviceConfig& cfg, const LaunchSpec& spec,
-                   const KernelFn& body, int block_id, bool instrumented) {
-  BlockInstr instr;
-  if (instrumented) instr.stats.resize(static_cast<std::size_t>(spec.threads));
+                   const Body& body, int block_id, bool instrumented) {
   fast_math_enabled() = cfg.fast_math;
-  BlockCtx ctx(cfg, block_id, spec.blocks, spec.threads,
-               instrumented ? &instr : nullptr,
-               instrumented ? instr.stats.data() : nullptr);
+  if (!instrumented) {
+    BlockCtx<false> ctx(cfg, block_id, spec.blocks, spec.threads);
+    body(ctx);
+    BlockRun run;
+    run.shared_bytes = ctx.shared_bytes();
+    return run;
+  }
+  BlockInstr instr;
+  instr.stats.resize(static_cast<std::size_t>(spec.threads));
+  BlockCtx<true> ctx(cfg, block_id, spec.blocks, spec.threads, &instr,
+                     instr.stats.data());
   // A lane that throws must not leave the host thread charging later work
   // to this block's (freed) counters.
   struct ClearStats {
@@ -203,7 +212,7 @@ bool slice_before(const TaggedCycles& a, const TaggedCycles& b) {
   return key(a) < key(b);
 }
 
-LaunchResult Device::launch(const LaunchSpec& spec, const KernelFn& body) {
+LaunchResult Device::run(const LaunchSpec& spec, const KernelRef& body) {
   REGLA_CHECK_MSG(spec.blocks >= 1, "launch needs at least one block");
   REGLA_CHECK_MSG(spec.threads >= 1 && spec.threads <= cfg_.max_threads_per_block,
                   "threads per block: " << spec.threads);

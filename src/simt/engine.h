@@ -3,7 +3,7 @@
 // timing (cycles on the configured chip) plus instrumentation breakdowns.
 #pragma once
 
-#include <functional>
+#include <concepts>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,7 +23,10 @@ namespace regla::simt {
 
 class ReplayCache;
 
-using KernelFn = std::function<void(BlockCtx&)>;
+/// A kernel body compiled for both counting policies.
+template <typename Body>
+concept Kernel = std::invocable<Body&, BlockCtx<true>&> &&
+                 std::invocable<Body&, BlockCtx<false>&>;
 
 struct LaunchSpec {
   int blocks = 1;
@@ -89,14 +92,21 @@ class Device {
 
   /// Run `body` once for every block; returns full timing and
   /// instrumentation. Functionally exact: all side effects on host memory
-  /// wrapped by ctx.global() have happened when this returns.
+  /// wrapped by ctx.global() have happened when this returns. `body` is
+  /// generic over the context (`[&](auto& ctx) { ... }`): blocks the engine
+  /// instruments run its BlockCtx<true> instantiation, blocks whose
+  /// accounting the replay cache supplies run its counter-free
+  /// BlockCtx<false> one. Both compute bit-identical results.
   ///
   /// Fault hooks (config().faults, simt/fault.h): may throw
   /// TransientLaunchFailure *before any block runs* (payload untouched,
   /// retry-safe), stretch the reported timing, or silently skip one block
   /// (poisoned result). Decisions are deterministic in (seed, launch
   /// ordinal); the ordinal advances on every launch() call, thrown or not.
-  LaunchResult launch(const LaunchSpec& spec, const KernelFn& body);
+  template <Kernel Body>
+  LaunchResult launch(const LaunchSpec& spec, Body&& body) {
+    return run(spec, KernelRef(body));
+  }
 
   /// What the fault hooks have injected on this device so far.
   const FaultStats& fault_stats() const { return fault_stats_; }
@@ -137,6 +147,32 @@ class Device {
   };
 
  private:
+  /// Non-owning, type-erased view of a kernel body's two instantiations;
+  /// valid for one launch() call.
+  class KernelRef {
+   public:
+    template <typename Body>
+    explicit KernelRef(Body& body)
+        : body_(const_cast<void*>(static_cast<const void*>(&body))),
+          counted_(&call<Body, true>),
+          counter_free_(&call<Body, false>) {}
+
+    void operator()(BlockCtx<true>& ctx) const { counted_(body_, ctx); }
+    void operator()(BlockCtx<false>& ctx) const { counter_free_(body_, ctx); }
+
+   private:
+    template <typename Body, bool C>
+    static void call(void* body, BlockCtx<C>& ctx) {
+      (*static_cast<Body*>(body))(ctx);
+    }
+
+    void* body_;
+    void (*counted_)(void*, BlockCtx<true>&);
+    void (*counter_free_)(void*, BlockCtx<false>&);
+  };
+
+  LaunchResult run(const LaunchSpec& spec, const KernelRef& body);
+
   DeviceConfig cfg_;
   int host_workers_ = 0;  // 0 = auto
   bool replay_on_ = false;

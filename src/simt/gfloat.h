@@ -1,12 +1,15 @@
-// gfloat / gcomplex: instrumented device scalars.
+// gfloat / gcomplex: device scalars, compiled once per counting policy.
 //
-// Device kernels do arithmetic on gfloat instead of float. Every operation
-// bumps the running thread's counters, so the simulator sees exactly the
-// FLOPs, divides and square roots the kernel performs — no hand-maintained
-// cost formulas in the kernels themselves. In fast-math mode, division and
-// square root round their results to 22 mantissa bits, reproducing the
-// accuracy of GF100's hardware reciprocal/sqrt that the paper uses
-// (--use_fast_math).
+// Device kernels do arithmetic on basic_gfloat<Counted> instead of float.
+// The counted scalars (gfloat, gcomplex) bump the running thread's counters
+// on every operation, so the simulator sees exactly the FLOPs, divides and
+// square roots the kernel performs — no hand-maintained cost formulas in the
+// kernels themselves. The counter-free scalars (basic_gfloat<false>) compute
+// the same values bit for bit and compile to plain float arithmetic: the
+// engine runs them on blocks whose accounting it already knows (DESIGN.md
+// §13). In fast-math mode, division and square root round their results to
+// 22 mantissa bits in both policies, reproducing the accuracy of GF100's
+// hardware reciprocal/sqrt that the paper uses (--use_fast_math).
 #pragma once
 
 #include <cmath>
@@ -44,55 +47,82 @@ inline float round_to_22_bits(float x) {
   std::memcpy(&out, &u, sizeof(out));
   return out;
 }
+
+/// A divide or square-root result as the launch's fast-math mode leaves it.
+inline float fast_math_round(float x) {
+  return fast_math_enabled() ? round_to_22_bits(x) : x;
+}
 }  // namespace detail
 
-class gfloat {
+template <bool Counted>
+class basic_gfloat {
  public:
-  gfloat() = default;
-  constexpr gfloat(float v) : v_(v) {}  // NOLINT implicit by design
+  static constexpr bool counted = Counted;
+
+  basic_gfloat() = default;
+  constexpr basic_gfloat(float v) : v_(v) {}  // NOLINT implicit by design
 
   float value() const { return v_; }
   explicit operator float() const { return v_; }
 
-  // --- counted arithmetic -------------------------------------------------
-  friend gfloat operator+(gfloat a, gfloat b) { tick1(); return {a.v_ + b.v_}; }
-  friend gfloat operator-(gfloat a, gfloat b) { tick1(); return {a.v_ - b.v_}; }
-  friend gfloat operator*(gfloat a, gfloat b) { tick1(); return {a.v_ * b.v_}; }
-  friend gfloat operator/(gfloat a, gfloat b) {
-    auto* s = current_stats();
-    if (s) { ++s->divs; ++s->flops; }
-    const float q = a.v_ / b.v_;
-    return {fast_math_enabled() ? detail::round_to_22_bits(q) : q};
+  // --- arithmetic (counted under the counted policy) ----------------------
+  friend basic_gfloat operator+(basic_gfloat a, basic_gfloat b) {
+    tick1();
+    return {a.v_ + b.v_};
   }
-  gfloat operator-() const { return {-v_}; }  // sign flip is free
+  friend basic_gfloat operator-(basic_gfloat a, basic_gfloat b) {
+    tick1();
+    return {a.v_ - b.v_};
+  }
+  friend basic_gfloat operator*(basic_gfloat a, basic_gfloat b) {
+    tick1();
+    return {a.v_ * b.v_};
+  }
+  friend basic_gfloat operator/(basic_gfloat a, basic_gfloat b) {
+    if constexpr (Counted) {
+      auto* s = current_stats();
+      if (s) { ++s->divs; ++s->flops; }
+    }
+    return {detail::fast_math_round(a.v_ / b.v_)};
+  }
+  basic_gfloat operator-() const { return {-v_}; }  // sign flip is free
 
-  gfloat& operator+=(gfloat b) { *this = *this + b; return *this; }
-  gfloat& operator-=(gfloat b) { *this = *this - b; return *this; }
-  gfloat& operator*=(gfloat b) { *this = *this * b; return *this; }
-  gfloat& operator/=(gfloat b) { *this = *this / b; return *this; }
+  basic_gfloat& operator+=(basic_gfloat b) { *this = *this + b; return *this; }
+  basic_gfloat& operator-=(basic_gfloat b) { *this = *this - b; return *this; }
+  basic_gfloat& operator*=(basic_gfloat b) { *this = *this * b; return *this; }
+  basic_gfloat& operator/=(basic_gfloat b) { *this = *this / b; return *this; }
 
   // Comparisons: predicate ops, not counted as FLOPs.
-  friend bool operator==(gfloat a, gfloat b) { return a.v_ == b.v_; }
-  friend bool operator!=(gfloat a, gfloat b) { return a.v_ != b.v_; }
-  friend bool operator<(gfloat a, gfloat b) { return a.v_ < b.v_; }
-  friend bool operator>(gfloat a, gfloat b) { return a.v_ > b.v_; }
-  friend bool operator<=(gfloat a, gfloat b) { return a.v_ <= b.v_; }
-  friend bool operator>=(gfloat a, gfloat b) { return a.v_ >= b.v_; }
+  friend bool operator==(basic_gfloat a, basic_gfloat b) { return a.v_ == b.v_; }
+  friend bool operator!=(basic_gfloat a, basic_gfloat b) { return a.v_ != b.v_; }
+  friend bool operator<(basic_gfloat a, basic_gfloat b) { return a.v_ < b.v_; }
+  friend bool operator>(basic_gfloat a, basic_gfloat b) { return a.v_ > b.v_; }
+  friend bool operator<=(basic_gfloat a, basic_gfloat b) { return a.v_ <= b.v_; }
+  friend bool operator>=(basic_gfloat a, basic_gfloat b) { return a.v_ >= b.v_; }
 
  private:
   static void tick1() {
-    auto* s = current_stats();
-    if (s) { ++s->flops; ++s->fp_instrs; }
+    if constexpr (Counted) {
+      auto* s = current_stats();
+      if (s) { ++s->flops; ++s->fp_instrs; }
+    }
   }
   float v_ = 0.0f;
 };
 
+/// The counted scalar: what the paper benches, the accounting tests and
+/// every instrumented block compute with.
+using gfloat = basic_gfloat<true>;
+
 /// Fused multiply-add: one issued instruction, two FLOPs — the dual-issue
 /// pipeline behaviour the paper's gamma assumes ("a floating-point
 /// multiply-add is counted as one gamma").
-inline gfloat gfma(gfloat a, gfloat b, gfloat c) {
-  auto* s = current_stats();
-  if (s) { s->flops += 2; ++s->fp_instrs; }
+template <bool C>
+basic_gfloat<C> gfma(basic_gfloat<C> a, basic_gfloat<C> b, basic_gfloat<C> c) {
+  if constexpr (C) {
+    auto* s = current_stats();
+    if (s) { s->flops += 2; ++s->fp_instrs; }
+  }
   return {a.value() * b.value() + c.value()};
 }
 
@@ -100,70 +130,88 @@ inline gfloat gfma(gfloat a, gfloat b, gfloat c) {
 /// charges the FP pipeline latency to the thread's dependency chain (a
 /// register-to-register dependent chain exposes the full pipeline depth,
 /// which is how the paper measures gamma).
-inline gfloat gfma_dep(gfloat a, gfloat b, gfloat c, double pipeline_cycles) {
-  auto* s = current_stats();
-  if (s) {
-    s->flops += 2;
-    ++s->fp_instrs;
-    s->dep_latency_cycles += pipeline_cycles;
+template <bool C>
+basic_gfloat<C> gfma_dep(basic_gfloat<C> a, basic_gfloat<C> b,
+                         basic_gfloat<C> c, double pipeline_cycles) {
+  if constexpr (C) {
+    auto* s = current_stats();
+    if (s) {
+      s->flops += 2;
+      ++s->fp_instrs;
+      s->dep_latency_cycles += pipeline_cycles;
+    }
+  } else {
+    (void)pipeline_cycles;
   }
   return {a.value() * b.value() + c.value()};
 }
 
-inline gfloat gsqrt(gfloat a) {
-  auto* s = current_stats();
-  if (s) { ++s->sqrts; ++s->flops; }
-  const float r = std::sqrt(a.value());
-  return {fast_math_enabled() ? detail::round_to_22_bits(r) : r};
+template <bool C>
+basic_gfloat<C> gsqrt(basic_gfloat<C> a) {
+  if constexpr (C) {
+    auto* s = current_stats();
+    if (s) { ++s->sqrts; ++s->flops; }
+  }
+  return {detail::fast_math_round(std::sqrt(a.value()))};
 }
 
-inline gfloat gabs(gfloat a) { return {std::fabs(a.value())}; }
+template <bool C>
+basic_gfloat<C> gabs(basic_gfloat<C> a) {
+  return {std::fabs(a.value())};
+}
 
 /// Complex device scalar built from two gfloats: all real-FLOP counting is
-/// inherited from gfloat, so a complex MAC naturally counts 8 real FLOPs —
-/// consistent with the paper's 8mn^2 - 8/3 n^3 complex-QR accounting.
-class gcomplex {
+/// inherited from basic_gfloat, so a complex MAC naturally counts 8 real
+/// FLOPs — consistent with the paper's 8mn^2 - 8/3 n^3 complex-QR accounting.
+template <bool Counted>
+class basic_gcomplex {
  public:
-  gcomplex() = default;
-  gcomplex(gfloat re, gfloat im) : re_(re), im_(im) {}
-  constexpr gcomplex(float re) : re_(re), im_(0.0f) {}  // NOLINT
-  gcomplex(std::complex<float> z) : re_(z.real()), im_(z.imag()) {}  // NOLINT
+  using real_type = basic_gfloat<Counted>;
+  static constexpr bool counted = Counted;
+
+  basic_gcomplex() = default;
+  basic_gcomplex(real_type re, real_type im) : re_(re), im_(im) {}
+  constexpr basic_gcomplex(float re) : re_(re), im_(0.0f) {}  // NOLINT
+  basic_gcomplex(std::complex<float> z)  // NOLINT
+      : re_(z.real()), im_(z.imag()) {}
 
   std::complex<float> to_std() const { return {re_.value(), im_.value()}; }
 
-  gfloat re() const { return re_; }
-  gfloat im() const { return im_; }
+  real_type re() const { return re_; }
+  real_type im() const { return im_; }
 
-  friend gcomplex operator+(gcomplex a, gcomplex b) {
+  friend basic_gcomplex operator+(basic_gcomplex a, basic_gcomplex b) {
     return {a.re_ + b.re_, a.im_ + b.im_};
   }
-  friend gcomplex operator-(gcomplex a, gcomplex b) {
+  friend basic_gcomplex operator-(basic_gcomplex a, basic_gcomplex b) {
     return {a.re_ - b.re_, a.im_ - b.im_};
   }
-  friend gcomplex operator*(gcomplex a, gcomplex b) {
-    return {gfma(a.re_, b.re_, -(a.im_ * b.im_)), gfma(a.re_, b.im_, a.im_ * b.re_)};
+  friend basic_gcomplex operator*(basic_gcomplex a, basic_gcomplex b) {
+    return {gfma(a.re_, b.re_, -(a.im_ * b.im_)),
+            gfma(a.re_, b.im_, a.im_ * b.re_)};
   }
   /// Scale by a real.
-  friend gcomplex operator*(gcomplex a, gfloat s) { return {a.re_ * s, a.im_ * s}; }
-  friend gcomplex operator*(gfloat s, gcomplex a) { return a * s; }
-  friend gcomplex operator/(gcomplex a, gfloat s) { return {a.re_ / s, a.im_ / s}; }
-  gcomplex operator-() const { return {-re_, -im_}; }
+  friend basic_gcomplex operator*(basic_gcomplex a, real_type s) {
+    return {a.re_ * s, a.im_ * s};
+  }
+  friend basic_gcomplex operator*(real_type s, basic_gcomplex a) { return a * s; }
+  friend basic_gcomplex operator/(basic_gcomplex a, real_type s) {
+    return {a.re_ / s, a.im_ / s};
+  }
+  basic_gcomplex operator-() const { return {-re_, -im_}; }
 
-  gcomplex& operator+=(gcomplex b) { *this = *this + b; return *this; }
-  gcomplex& operator-=(gcomplex b) { *this = *this - b; return *this; }
+  basic_gcomplex& operator+=(basic_gcomplex b) { *this = *this + b; return *this; }
+  basic_gcomplex& operator-=(basic_gcomplex b) { *this = *this - b; return *this; }
 
-  gcomplex conj() const { return {re_, -im_}; }
+  basic_gcomplex conj() const { return {re_, -im_}; }
   /// |z|^2 = re^2 + im^2.
-  gfloat norm2() const { return gfma(re_, re_, im_ * im_); }
+  real_type norm2() const { return gfma(re_, re_, im_ * im_); }
 
  private:
-  gfloat re_{0.0f};
-  gfloat im_{0.0f};
+  real_type re_{0.0f};
+  real_type im_{0.0f};
 };
 
-/// c += conj(a) * b — the complex MAC used in Householder inner products.
-inline gcomplex gcmadd_conj(gcomplex a, gcomplex b, gcomplex c) {
-  return c + a.conj() * b;
-}
+using gcomplex = basic_gcomplex<true>;
 
 }  // namespace regla::simt

@@ -82,12 +82,14 @@ class ChaseModel {
 };
 
 /// Typed accessor over host memory standing in for device global memory.
-/// Loads/stores log byte addresses so the phase fold can count distinct
-/// 128-byte segments per warp (the GF100 coalescing rule).
-template <typename T>
+/// Counted loads/stores log byte addresses so the phase fold can count
+/// distinct 128-byte segments per warp (the GF100 coalescing rule);
+/// counter-free ones (Counted = false) only load and store.
+template <typename T, bool Counted>
 class Global {
  public:
-  using value_type = typename detail::DeviceValue<std::remove_const_t<T>>::type;
+  using value_type =
+      typename detail::DeviceValue<std::remove_const_t<T>, Counted>::type;
 
   Global() = default;
   Global(T* ptr, const DeviceConfig& cfg, ChaseModel* chase)
@@ -108,10 +110,7 @@ class Global {
   /// Dependent load: full structured DRAM latency lands on the thread's
   /// dependency chain (pointer chasing, Fig. 1 / Table III).
   value_type ld_dep(std::ptrdiff_t i) const {
-    log(i, true);
-    auto* s = current_stats();
-    if (s && chase_ != nullptr)
-      s->dep_latency_cycles += chase_->access(addr(i));
+    touch_dep(i);
     return value_type(ptr_[i]);
   }
 
@@ -121,9 +120,11 @@ class Global {
   /// materializing a multi-hundred-MB chase array.
   void touch_dep(std::ptrdiff_t i) const {
     log(i, true);
-    auto* s = current_stats();
-    if (s && chase_ != nullptr)
-      s->dep_latency_cycles += chase_->access(addr(i));
+    if constexpr (Counted) {
+      auto* s = current_stats();
+      if (s && chase_ != nullptr)
+        s->dep_latency_cycles += chase_->access(addr(i));
+    }
   }
 
   T* raw() const { return ptr_; }
@@ -133,10 +134,15 @@ class Global {
     return reinterpret_cast<std::uint64_t>(ptr_ + i);
   }
   void log(std::ptrdiff_t i, bool is_load) const {
-    auto* s = current_stats();
-    if (s == nullptr) return;
-    s->record_global(addr(i), sizeof(T), is_load,
-                     static_cast<std::uint32_t>(cfg_->dram_segment_bytes));
+    if constexpr (Counted) {
+      auto* s = current_stats();
+      if (s == nullptr) return;
+      s->record_global(addr(i), sizeof(T), is_load,
+                       static_cast<std::uint32_t>(cfg_->dram_segment_bytes));
+    } else {
+      (void)i;
+      (void)is_load;
+    }
   }
 
   T* ptr_ = nullptr;

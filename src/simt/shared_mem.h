@@ -1,9 +1,9 @@
 // Simulated shared memory ("scratchpad") with bank-access tracking.
 //
-// A SharedArray<T> is a typed view of a block-level arena. Loads and stores
-// log the word index of every access; the phase fold turns those into warp
-// transactions with bank-conflict multipliers (32 banks, 4-byte words,
-// same-address broadcast is free — see timing.cc).
+// A SharedArray<T, Counted> is a typed view of a block-level arena. Counted
+// loads and stores log the word index of every access; the phase fold turns
+// those into warp transactions with bank-conflict multipliers (32 banks,
+// 4-byte words, same-address broadcast is free — see timing.cc).
 #pragma once
 
 #include <cstddef>
@@ -19,10 +19,13 @@ namespace regla::simt {
 
 namespace detail {
 
-/// Maps storage types to the device value type kernels compute with.
-template <typename T> struct DeviceValue { using type = T; };
-template <> struct DeviceValue<float> { using type = gfloat; };
-template <> struct DeviceValue<std::complex<float>> { using type = gcomplex; };
+/// Maps storage types to the device value type kernels compute with under
+/// counting policy C.
+template <typename T, bool C> struct DeviceValue { using type = T; };
+template <bool C> struct DeviceValue<float, C> { using type = basic_gfloat<C>; };
+template <bool C> struct DeviceValue<std::complex<float>, C> {
+  using type = basic_gcomplex<C>;
+};
 
 template <typename T, typename V>
 T to_storage_value(V v) {
@@ -66,15 +69,18 @@ class SharedSpace {
   std::uint32_t next_word_ = 0;
 };
 
-/// Typed accessor over a shared arena. Copyable; all copies alias.
-template <typename T>
+/// Typed accessor over a shared arena. Copyable; all copies alias. Counted
+/// accesses log their word addresses for the bank-conflict fold; counter-free
+/// ones (Counted = false) only load and store. Both bounds-check.
+template <typename T, bool Counted>
 class SharedArray {
  public:
-  using value_type = typename detail::DeviceValue<T>::type;
+  using value_type = typename detail::DeviceValue<T, Counted>::type;
 
   SharedArray() = default;
-  SharedArray(SharedSpace::Arena* arena, int elems, double latency_cycles)
-      : arena_(arena), elems_(elems), latency_(latency_cycles) {}
+  SharedArray(SharedSpace::Arena& arena, int elems, double latency_cycles)
+      : data_(reinterpret_cast<T*>(arena.bytes.data())),
+        base_word_(arena.base_word), elems_(elems), latency_(latency_cycles) {}
 
   int size() const { return elems_; }
 
@@ -85,36 +91,43 @@ class SharedArray {
 
   void st(int i, value_type v) {
     log(i);
-    raw(i) = to_storage(v);
+    raw(i) = detail::to_storage_value<T>(v);
   }
 
   /// Dependent load for pointer-chasing microbenchmarks: charges the full
   /// shared latency to the thread's dependency chain.
   value_type ld_dep(int i) const {
     log(i);
-    auto* s = current_stats();
-    if (s) s->dep_latency_cycles += latency_;
+    if constexpr (Counted) {
+      auto* s = current_stats();
+      if (s) s->dep_latency_cycles += latency_;
+    }
     return value_type(raw(i));
   }
 
  private:
   T& raw(int i) const {
     REGLA_CHECK_MSG(i >= 0 && i < elems_, "shared access out of bounds: " << i);
-    return reinterpret_cast<T*>(arena_->bytes.data())[i];
+    return data_[i];
   }
 
   void log(int i) const {
-    auto* s = current_stats();
-    if (s == nullptr) return;
-    const std::uint32_t w0 =
-        arena_->base_word + static_cast<std::uint32_t>(i) * detail::kWordsPerElem<T>;
-    for (std::uint32_t k = 0; k < detail::kWordsPerElem<T>; ++k)
-      s->record_shared(w0 + k);
+    if constexpr (Counted) {
+      auto* s = current_stats();
+      if (s == nullptr) return;
+      const std::uint32_t w0 =
+          base_word_ + static_cast<std::uint32_t>(i) * detail::kWordsPerElem<T>;
+      for (std::uint32_t k = 0; k < detail::kWordsPerElem<T>; ++k)
+        s->record_shared(w0 + k);
+    } else {
+      (void)i;
+    }
   }
 
-  static T to_storage(value_type v) { return detail::to_storage_value<T>(v); }
-
-  SharedSpace::Arena* arena_ = nullptr;
+  /// The arena's storage, resolved at declaration: an arena's byte vector
+  /// never resizes after SharedSpace::create.
+  T* data_ = nullptr;
+  std::uint32_t base_word_ = 0;
   int elems_ = 0;
   double latency_ = 0;
 };

@@ -1,10 +1,11 @@
 // Per-thread event counters for the SIMT timing model.
 //
 // Device code does not carry a context through every arithmetic expression;
-// instead the block executor points `current_stats()` at the running lane's
-// ThreadStats, and the instrumented device types (gfloat, Shared<T>,
-// Global<T>, RegTile) record events through it. At each __syncthreads() the
-// executor folds all threads' counters into a PhaseRecord and resets them.
+// instead a counted block points `current_stats()` at the running lane's
+// ThreadStats, and the counted device types (gfloat, SharedArray<T, true>,
+// Global<T, true>, RegTile<gfloat>) record events through it. At each
+// __syncthreads() the block folds all threads' counters into a PhaseRecord
+// and resets them. The counter-free device types never read it.
 #pragma once
 
 #include <cstddef>
@@ -112,16 +113,15 @@ struct ThreadStats {
 
 namespace detail {
 /// Storage behind current_stats(). Header-inline so the accessor compiles to
-/// a TLS load in the device types' hot paths: gfloat records a counter bump
-/// per arithmetic op, and an out-of-line call per op dominated uninstrumented
-/// kernel time. Not part of the API — go through current_stats().
+/// a TLS load in the counted device types' hot paths: gfloat records a
+/// counter bump per arithmetic op. Not part of the API — go through
+/// current_stats().
 inline thread_local ThreadStats* t_current_stats = nullptr;
 }  // namespace detail
 
 /// The executor's per-host-thread pointer at the running lane's counters.
-/// Null while no instrumented block is executing: every instrumented device
-/// type (gfloat, SharedArray, Global, RegTile) null-checks it, so the same
-/// kernels also run uninstrumented — the engine's replay fast path.
+/// Null while no counted block is executing; the counted device types
+/// null-check it, so host code may use gfloat outside any launch.
 inline ThreadStats*& current_stats() { return detail::t_current_stats; }
 
 /// Aggregated per-phase result for one block (after the warp-level fold).

@@ -2,9 +2,13 @@
 // instrumentation, occupancy plumbing, determinism.
 #include <gtest/gtest.h>
 
+#include <complex>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -22,7 +26,7 @@ TEST(Engine, EveryThreadOfEveryBlockRuns) {
   LaunchSpec spec;
   spec.blocks = 4;
   spec.threads = 32;
-  dev.launch(spec, [=](BlockCtx& ctx) {
+  dev.launch(spec, [=](auto& ctx) {
     auto g = ctx.global(h);
     ctx.lanes([&](int t) { g.st(ctx.block() * 32 + t, 1); });
   });
@@ -38,8 +42,8 @@ TEST(Engine, BarrierOrdersPhases) {
   spec.threads = 64;
   std::vector<int> out(2 * 64, -1);
   int* op = out.data();
-  dev.launch(spec, [=](BlockCtx& ctx) {
-    auto sh = ctx.shared<int>(64);
+  dev.launch(spec, [=](auto& ctx) {
+    auto sh = ctx.template shared<int>(64);
     ctx.lanes([&](int t) { sh.st(t, t * 10); });
     ctx.sync();
     auto g = ctx.global(op);
@@ -58,8 +62,8 @@ TEST(Engine, ManyBarriersAllArrive) {
   spec.threads = 96;
   std::vector<int> final_val(1, 0);
   int* fv = final_val.data();
-  auto res = dev.launch(spec, [=](BlockCtx& ctx) {
-    auto sh = ctx.shared<int>(1);
+  auto res = dev.launch(spec, [=](auto& ctx) {
+    auto sh = ctx.template shared<int>(1);
     ctx.lanes([&](int t) {
       if (t == 0) sh.st(0, 0);
     });
@@ -84,8 +88,8 @@ TEST(Engine, EarlyExitThreadsDoNotBlockBarriers) {
   spec.threads = 64;
   std::vector<int> count(1, 0);
   int* cp = count.data();
-  const auto res = dev.launch(spec, [=](BlockCtx& ctx) {
-    auto sh = ctx.shared<int>(32);
+  const auto res = dev.launch(spec, [=](auto& ctx) {
+    auto sh = ctx.template shared<int>(32);
     ctx.lanes([&](int t) {
       if (t >= 32) return ctx.retire();  // half the block leaves immediately
       sh.st(t, 1);
@@ -113,8 +117,8 @@ TEST(Engine, SamePhaseSharedWritesSeenInAscendingTidOrder) {
   std::vector<int> below(64, -1), above(64, -1);
   int* bp = below.data();
   int* ap = above.data();
-  dev.launch(spec, [=](BlockCtx& ctx) {
-    auto sh = ctx.shared<int>(65);
+  dev.launch(spec, [=](auto& ctx) {
+    auto sh = ctx.template shared<int>(65);
     auto gb = ctx.global(bp);
     auto ga = ctx.global(ap);
     ctx.lanes([&](int t) {
@@ -166,13 +170,14 @@ TEST(Engine, LaneErrorLeavesLaunchAndDeviceStaysExact) {
     spec.blocks = 4;
     spec.threads = 32;
     try {
-      dev.launch(spec, [](BlockCtx& ctx) {
-        auto sh = ctx.shared<float>(32);
-        auto tile = ctx.lane_state<RegTile<gfloat>>(
-            [&](int) { return ctx.reg_tile<gfloat>(4, 4); });
+      dev.launch(spec, [](auto& ctx) {
+        using F = real_t<decltype(ctx)>;
+        auto sh = ctx.template shared<float>(32);
+        auto tile = ctx.lane_state(
+            [&](int) { return ctx.template reg_tile<F>(4, 4); });
         ctx.lanes([&](int t) {
-          tile[t].set(0, 0, gfloat(1.0f));
-          sh.st(t, gfloat(2.0f));
+          tile[t].set(0, 0, F(1.0f));
+          sh.st(t, F(2.0f));
         });
         ctx.sync();
         ctx.lanes([&](int t) {
@@ -197,11 +202,11 @@ TEST(Engine, SharedAllocationSizeMismatchThrows) {
   LaunchSpec spec;
   spec.threads = 2;
   EXPECT_THROW(dev.launch(spec,
-                          [](BlockCtx& ctx) {
+                          [](auto& ctx) {
                             // Thread-dependent allocation size: illegal, so
                             // shared arrays cannot be declared per lane.
                             ctx.lanes([&](int t) {
-                              ctx.shared<float>(t == 0 ? 8 : 16);
+                              ctx.template shared<float>(t == 0 ? 8 : 16);
                             });
                           }),
                Error);
@@ -212,12 +217,13 @@ TEST(Engine, FlopCountsMatchKernelArithmetic) {
   LaunchSpec spec;
   spec.blocks = 3;
   spec.threads = 16;
-  auto res = dev.launch(spec, [](BlockCtx& ctx) {
+  auto res = dev.launch(spec, [](auto& ctx) {
+    using F = real_t<decltype(ctx)>;
     ctx.lanes([](int) {
-      gfloat acc(0.0f);
-      for (int i = 0; i < 10; ++i) acc = gfma(acc, gfloat(1.5f), gfloat(0.5f));
-      gfloat d = acc / gfloat(2.0f);
-      gfloat s = gsqrt(d);
+      F acc(0.0f);
+      for (int i = 0; i < 10; ++i) acc = gfma(acc, F(1.5f), F(0.5f));
+      F d = acc / F(2.0f);
+      F s = gsqrt(d);
       (void)s;
     });
   });
@@ -233,10 +239,11 @@ TEST(Engine, GlobalBytesCounted) {
   float* xp = x.data();
   LaunchSpec spec;
   spec.threads = 128;
-  auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto res = dev.launch(spec, [=](auto& ctx) {
+    using F = real_t<decltype(ctx)>;
     auto g = ctx.global(xp);
     ctx.lanes([&](int t) {
-      gfloat v = g.ld(t);
+      F v = g.ld(t);
       g.st(512 + t, v);
     });
   });
@@ -247,16 +254,17 @@ TEST(Engine, TagBreakdownCoversAllCycles) {
   Device dev;
   LaunchSpec spec;
   spec.threads = 32;
-  auto res = dev.launch(spec, [](BlockCtx& ctx) {
+  auto res = dev.launch(spec, [](auto& ctx) {
+    using F = real_t<decltype(ctx)>;
     ctx.tag(OpTag::form_hh);
     ctx.lanes([](int) {
-      gfloat a = gfloat(1.0f) + gfloat(2.0f);
+      F a = F(1.0f) + F(2.0f);
       (void)a;
     });
     ctx.sync();
     ctx.tag(OpTag::rank1);
     ctx.lanes([](int) {
-      gfloat b = gfloat(3.0f) * gfloat(3.0f);
+      F b = F(3.0f) * F(3.0f);
       (void)b;
     });
   });
@@ -273,7 +281,7 @@ TEST(Engine, OccupancyLimitsReported) {
   spec.blocks = 200;
   spec.threads = 64;
   spec.regs_per_thread = 64;
-  auto res = dev.launch(spec, [](BlockCtx&) {});
+  auto res = dev.launch(spec, [](auto&) {});
   EXPECT_EQ(res.blocks_per_sm, 8);  // max-blocks limited on GF100
   EXPECT_EQ(res.waves, 2);          // ceil(200 / 112)
 }
@@ -284,7 +292,7 @@ TEST(Engine, RegisterLimitedOccupancy) {
   spec.blocks = 64;
   spec.threads = 256;
   spec.regs_per_thread = 64;  // 256 * 64 * K <= 32768 => K = 2
-  auto res = dev.launch(spec, [](BlockCtx&) {});
+  auto res = dev.launch(spec, [](auto&) {});
   EXPECT_EQ(res.blocks_per_sm, 2);
   EXPECT_EQ(res.occupancy_limiter, Occupancy::Limiter::registers);
 }
@@ -299,11 +307,12 @@ TEST(Engine, DeterministicAcrossHostWorkerCounts) {
     LaunchSpec spec;
     spec.blocks = 8;
     spec.threads = 32;
-    dev.launch(spec, [=](BlockCtx& ctx) {
+    dev.launch(spec, [=](auto& ctx) {
+      using F = real_t<decltype(ctx)>;
       auto g = ctx.global(dp);
       ctx.lanes([&](int t) {
         const int i = ctx.block() * 32 + t;
-        g.st(i, (gfloat(static_cast<float>(i)) / gfloat(7.0f)).value());
+        g.st(i, (F(static_cast<float>(i)) / F(7.0f)).value());
       });
     });
   }
@@ -318,14 +327,15 @@ TEST(Engine, TimingDeterministicAcrossRuns) {
     spec.threads = 64;
     return dev
         .launch(spec,
-                [](BlockCtx& ctx) {
-                  auto sh = ctx.shared<float>(64);
+                [](auto& ctx) {
+                  using F = real_t<decltype(ctx)>;
+                  auto sh = ctx.template shared<float>(64);
                   ctx.lanes([&](int t) {
-                    sh.st(t, gfloat(1.0f) * gfloat(2.0f));
+                    sh.st(t, F(1.0f) * F(2.0f));
                   });
                   ctx.sync();
                   ctx.lanes([&](int t) {
-                    gfloat v = sh.ld((t * 7) % 64);
+                    F v = sh.ld((t * 7) % 64);
                     (void)v;
                   });
                 })
@@ -338,32 +348,114 @@ TEST(Engine, SpillChargedBeyondRegisterBudget) {
   Device dev;
   LaunchSpec spec;
   spec.threads = 1;
-  auto res_small = dev.launch(spec, [](BlockCtx& ctx) {
+  auto res_small = dev.launch(spec, [](auto& ctx) {
+    using F = real_t<decltype(ctx)>;
     ctx.lanes([&](int) {
-      auto t = ctx.reg_tile<gfloat>(7, 7);  // 49 words: fits 64 - 15
+      auto t = ctx.template reg_tile<F>(7, 7);  // 49 words: fits 64 - 15
       for (int i = 0; i < 7; ++i)
-        for (int j = 0; j < 7; ++j) t.set(i, j, gfloat(1.0f));
+        for (int j = 0; j < 7; ++j) t.set(i, j, F(1.0f));
     });
   });
-  auto res_big = dev.launch(spec, [](BlockCtx& ctx) {
+  auto res_big = dev.launch(spec, [](auto& ctx) {
+    using F = real_t<decltype(ctx)>;
     ctx.lanes([&](int) {
-      auto t = ctx.reg_tile<gfloat>(10, 10);  // 100 words: 51 spill
+      auto t = ctx.template reg_tile<F>(10, 10);  // 100 words: 51 spill
       for (int i = 0; i < 10; ++i)
-        for (int j = 0; j < 10; ++j) t.set(i, j, gfloat(1.0f));
+        for (int j = 0; j < 10; ++j) t.set(i, j, F(1.0f));
     });
   });
   EXPECT_EQ(res_small.totals.spill_bytes, 0u);
   EXPECT_EQ(res_big.totals.spill_bytes, 51u * 4u);
 }
 
+// The counter-free scalars must be plain floats to the compiler: no hidden
+// state, nothing a copy or a register allocation has to preserve.
+static_assert(std::is_trivially_copyable_v<basic_gfloat<false>>);
+static_assert(sizeof(basic_gfloat<false>) == sizeof(float));
+static_assert(std::is_trivially_copyable_v<basic_gcomplex<false>>);
+static_assert(sizeof(basic_gcomplex<false>) == sizeof(std::complex<float>));
+
+/// Sets (or, with null, clears) an environment variable for one scope.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// Which instantiation of the kernel ran each block: 1 for the counted one,
+/// 2 for the counter-free one.
+std::vector<int> instantiation_per_block(Device& dev, int blocks) {
+  std::vector<int> marks(static_cast<std::size_t>(blocks), 0);
+  int* mp = marks.data();
+  LaunchSpec spec;
+  spec.blocks = blocks;
+  spec.threads = 32;
+  spec.name = "instantiation_probe";
+  dev.launch(spec, [=](auto& ctx) {
+    auto g = ctx.global(mp);
+    ctx.lanes([&](int t) {
+      if (t != 0) return;
+      if constexpr (counted_v<decltype(ctx)>)
+        g.st(ctx.block(), 1);
+      else
+        g.st(ctx.block(), 2);
+    });
+  });
+  return marks;
+}
+
+TEST(Engine, ReplayRunsTheCounterFreeInstantiationExactlyWhereItReplays) {
+  constexpr int kBlocks = 6;
+  const std::vector<int> all_counted(kBlocks, 1);
+  ScopedEnv no_verify("REGLA_REPLAY_VERIFY", nullptr);
+  {
+    Device dev;  // replay off: every block instrumented
+    EXPECT_EQ(instantiation_per_block(dev, kBlocks), all_counted);
+  }
+  Device dev;
+  dev.set_replay(true);
+  if (!dev.replay_enabled()) GTEST_SKIP() << "REGLA_REPLAY=0 set";
+  Device::ReplayScope scope(dev, /*data_independent=*/true, /*salt=*/0x1ce);
+  // Uniform miss: the representatives {0, 1, last} counted, the rest not.
+  EXPECT_EQ(instantiation_per_block(dev, kBlocks),
+            (std::vector<int>{1, 1, 2, 2, 2, 1}));
+  // Hit: the cache supplies every block's accounting.
+  EXPECT_EQ(instantiation_per_block(dev, kBlocks),
+            std::vector<int>(kBlocks, 2));
+
+  // Verify mode re-simulates what a miss extrapolates and what a hit
+  // replays: every block counted, on the miss and on the hit.
+  ScopedEnv verify("REGLA_REPLAY_VERIFY", "1");
+  Device vdev;
+  vdev.set_replay(true);
+  Device::ReplayScope vscope(vdev, /*data_independent=*/true, /*salt=*/0x1ce);
+  EXPECT_EQ(instantiation_per_block(vdev, kBlocks), all_counted);
+  EXPECT_EQ(instantiation_per_block(vdev, kBlocks), all_counted);
+}
+
 TEST(Engine, InvalidLaunchShapesRejected) {
   Device dev;
   LaunchSpec spec;
   spec.blocks = 0;
-  EXPECT_THROW(dev.launch(spec, [](BlockCtx&) {}), Error);
+  EXPECT_THROW(dev.launch(spec, [](auto&) {}), Error);
   spec.blocks = 1;
   spec.threads = 2048;
-  EXPECT_THROW(dev.launch(spec, [](BlockCtx&) {}), Error);
+  EXPECT_THROW(dev.launch(spec, [](auto&) {}), Error);
 }
 
 TEST(Engine, DramFloorBoundsBandwidth) {
@@ -377,7 +469,7 @@ TEST(Engine, DramFloorBoundsBandwidth) {
   spec.blocks = 112;
   spec.threads = 256;
   const std::size_t per_thread = words / (112 * 256);
-  auto res = dev.launch(spec, [=](BlockCtx& ctx) {
+  auto res = dev.launch(spec, [=](auto& ctx) {
     auto gx = ctx.global(xp);
     auto gy = ctx.global(yp);
     ctx.lanes([&](int t) {

@@ -53,7 +53,7 @@ std::set<int> launch_marking(simt::Device& dev, int blocks,
   std::vector<int> hits(blocks, 0);
   int* h = hits.data();
   const simt::LaunchResult res =
-      dev.launch(tiny_spec(blocks), [=](simt::BlockCtx& ctx) {
+      dev.launch(tiny_spec(blocks), [=](auto& ctx) {
         ctx.lanes([&](int t) {
           if (t == 0) ctx.global(h).st(ctx.block(), 1);
         });

@@ -99,8 +99,8 @@ TEST(StatsTruncation, LaunchExportsTruncationCounter) {
   LaunchSpec spec;
   spec.threads = 1;
   const int over = static_cast<int>(ThreadStats::kAddrCap) + 100;
-  const auto res = dev.launch(spec, [=](BlockCtx& ctx) {
-    auto sh = ctx.shared<int>(4);
+  const auto res = dev.launch(spec, [=](auto& ctx) {
+    auto sh = ctx.template shared<int>(4);
     ctx.lanes([&](int) {
       for (int i = 0; i < over; ++i) sh.st(i % 4, i);
     });
@@ -110,8 +110,8 @@ TEST(StatsTruncation, LaunchExportsTruncationCounter) {
 
   // A tiny launch must not trip the cap.
   obs::counter("engine.addr_truncations").reset();
-  const auto small = dev.launch(spec, [](BlockCtx& ctx) {
-    auto sh = ctx.shared<int>(4);
+  const auto small = dev.launch(spec, [](auto& ctx) {
+    auto sh = ctx.template shared<int>(4);
     ctx.lanes([&](int) { sh.st(0, 1); });
   });
   EXPECT_EQ(small.totals.addr_truncations, 0u);
