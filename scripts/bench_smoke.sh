@@ -95,14 +95,19 @@ python3 scripts/check_alloc_budget.py \
   --budget bench_results/alloc_budget.txt
 
 # The host-wall benchmark (perfbench/): its statistics self-test, then a
-# short direct_wave run. direct_wave runs Solver launch waves with replay on,
-# so nearly every block executes the kernels' counter-free instantiation;
-# run.py checks every result against the cpu reference and exits non-zero on
-# any mismatch — an end-to-end oracle check of the replay fast path.
+# short run of each workload. run.py checks every result against the cpu
+# reference and exits non-zero on any mismatch. direct_wave runs Solver
+# launch waves with replay on, so nearly every block executes the kernels'
+# counter-free instantiation — an end-to-end oracle check of the replay fast
+# path. serve_tiny (mostly single-request batches) and serve_burst
+# (multi-request leased batches) go through the runtime, so they
+# oracle-check its staged assembly path end to end.
 echo "== perfbench/test_stats.py"
 python3 perfbench/test_stats.py
-echo "== perfbench direct_wave (3 s, oracle-checked)"
-timeout 1200 python3 perfbench/run.py --workload direct_wave --seed 1 \
-  --seconds 3 --trace 0
+for w in direct_wave serve_tiny serve_burst; do
+  echo "== perfbench $w (3 s, oracle-checked)"
+  timeout 1200 python3 perfbench/run.py --workload "$w" --seed 1 \
+    --seconds 3 --trace 0
+done
 
 echo "bench smoke: all binaries ran clean"

@@ -27,7 +27,7 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 # the cross-layer timeline (ObsRuntimeTrace exercises the trace buffer from
 # the dispatcher and every worker thread at once); Arena*/RuntimeArena*/
 # RuntimeRagged* hammer the payload arena's lease/release free lists and the
-# staged/view assembly tiers from concurrent submitters.
+# staged assembly path from concurrent submitters.
 #
 # `timeout` backstops the raw gtest run: ctest's per-test TIMEOUT does not
 # apply here, and a sanitizer-found deadlock must fail, not hang the gate.

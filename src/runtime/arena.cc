@@ -16,8 +16,9 @@ namespace regla::runtime {
 
 namespace {
 
-/// Lowest-address-first heap: popping the minimum keeps consecutive leases
-/// of one size class adjacent whenever their blocks are.
+/// Lowest-address-first heap: popping the minimum reuses the block nearest
+/// the front of its slabs, so live blocks stay packed and the touched slab
+/// footprint stays compact.
 using AddrHeap = std::priority_queue<std::uintptr_t, std::vector<std::uintptr_t>,
                                      std::greater<std::uintptr_t>>;
 
@@ -28,7 +29,6 @@ std::size_t round_up(std::size_t v, std::size_t align) {
 }  // namespace
 
 struct Arena::State {
-  Options opt;
   mutable std::mutex mu;
   Stats stats;
   /// Backing slabs, freed only when the last lease and the Arena are gone.
@@ -46,18 +46,15 @@ struct Arena::State {
   }
 };
 
-Arena::Arena(Options opt) : state_(std::make_shared<State>()) {
-  REGLA_CHECK(opt.alignment > 0 &&
-              (opt.alignment & (opt.alignment - 1)) == 0);
-  state_->opt = opt;
-  state_->opt.min_slab_bytes =
-      std::max(opt.min_slab_bytes, opt.alignment);
-}
+static_assert((Arena::kAlignment & (Arena::kAlignment - 1)) == 0 &&
+              Arena::kMinSlabBytes >= Arena::kAlignment);
+
+Arena::Arena() : state_(std::make_shared<State>()) {}
 
 Arena::Lease Arena::lease(std::size_t bytes) {
   State& st = *state_;
-  const std::size_t sz = round_up(std::max<std::size_t>(bytes, 1),
-                                  st.opt.alignment);
+  const std::size_t sz =
+      round_up(std::max<std::size_t>(bytes, 1), kAlignment);
   std::byte* p = nullptr;
   bool fresh_slab = false;
   std::uint64_t reserved = 0;
@@ -70,20 +67,20 @@ Arena::Lease Arena::lease(std::size_t bytes) {
       ++st.stats.reuses;
     } else {
       const std::size_t blocks =
-          std::max<std::size_t>(1, st.opt.min_slab_bytes / sz);
+          std::max<std::size_t>(1, kMinSlabBytes / sz);
       const std::size_t slab_bytes = blocks * sz;
       // aligned_alloc needs the size to be a multiple of the alignment;
       // sz already is, so slab_bytes is too.
       std::byte* slab = static_cast<std::byte*>(
-          std::aligned_alloc(st.opt.alignment, slab_bytes));
+          std::aligned_alloc(kAlignment, slab_bytes));
       REGLA_CHECK_MSG(slab != nullptr, "arena slab allocation failed ("
                                            << slab_bytes << " bytes)");
       st.slabs.push_back(slab);
       ++st.stats.slab_allocs;
       st.stats.bytes_reserved += slab_bytes;
       fresh_slab = true;
-      // Carve: hand out the lowest block, free-list the rest in address
-      // order (the heap keeps them that way on release too).
+      // Carve: hand out the lowest block, free-list the rest (the heap
+      // keeps them address-ordered on release too).
       for (std::size_t b = 1; b < blocks; ++b)
         heap.push(reinterpret_cast<std::uintptr_t>(slab + b * sz));
       p = slab;
@@ -102,7 +99,8 @@ Arena::Lease Arena::lease(std::size_t bytes) {
   Lease l;
   l.size_ = sz;
   // The deleter shares the State, so a lease outliving the Arena (a Report
-  // holding a result view, say) still returns its block to a live free list.
+  // holding a leased result batch, say) still returns its block to a live
+  // free list.
   std::shared_ptr<State> state = state_;
   l.block_ = std::shared_ptr<std::byte>(p, [state, sz](std::byte* q) {
     std::lock_guard<std::mutex> lock(state->mu);

@@ -1,4 +1,4 @@
-// regla::runtime::Arena — the slab buffer manager behind zero-copy payloads.
+// regla::runtime::Arena — the slab buffer manager behind runtime payloads.
 //
 // The serving path used to heap-allocate every coalesced batch (and every
 // retry snapshot) per flush; for the small problems this project serves,
@@ -10,17 +10,16 @@
 //     slab only when the list is empty. Steady state never allocates: the
 //     obs counter "runtime.payload_allocs" counts slab mallocs and is the
 //     number the CI alloc-budget gate holds at ~0 per request.
-//   - Free lists are address-ordered (min-heaps), so consecutive leases of
-//     one size class come back adjacent whenever adjacent blocks are free.
-//     The runtime exploits this: payloads leased back-to-back concatenate
-//     into one device batch as a *view* (BatchedMatrix::borrow), no memcpy.
+//   - Free lists are address-ordered (min-heaps): a lease reuses the lowest
+//     free block of its class, so live blocks stay packed at the front of
+//     the slabs and the touched footprint stays compact.
 //   - A Lease is a refcounted handle (copyable); the block returns to its
 //     free list when the last handle drops. The backing State is shared, so
 //     leases — and the Reports that carry leased result batches — safely
 //     outlive the Arena and the Runtime that created them.
-//   - Every block is aligned to Options::alignment (the simulated DRAM
-//     segment, 128 bytes), so arena payloads occupy whole coalescing
-//     segments and replay-salt alignment classes are stable across reuse.
+//   - Every block is aligned to kAlignment (the simulated DRAM segment, 128
+//     bytes), so arena payloads occupy whole coalescing segments and
+//     replay-salt alignment classes are stable across reuse.
 //
 // Thread-safe: lease and release may race from any thread.
 #pragma once
@@ -35,15 +34,13 @@ namespace regla::runtime {
 
 class Arena {
  public:
-  struct Options {
-    /// Block alignment and size granularity. Matches the simulated DRAM
-    /// segment so a leased payload starts on a coalescing boundary.
-    std::size_t alignment = 128;
-    /// Minimum bytes per backing malloc: small size classes are carved into
-    /// many blocks per slab so warm-up costs one allocation, not one per
-    /// lease.
-    std::size_t min_slab_bytes = std::size_t{1} << 18;
-  };
+  /// Block alignment and size granularity. Must equal the simulated DRAM
+  /// segment (128 B): a leased payload then starts on a coalescing boundary,
+  /// which keeps the replay salt's alignment class stable across reuse.
+  static constexpr std::size_t kAlignment = 128;
+  /// Minimum bytes per backing malloc: small size classes are carved into
+  /// many blocks per slab so warm-up costs one allocation, not one per lease.
+  static constexpr std::size_t kMinSlabBytes = std::size_t{1} << 18;
 
   struct Stats {
     std::uint64_t slab_allocs = 0;    ///< backing mallocs (the budget number)
@@ -75,8 +72,7 @@ class Arena {
     std::size_t size_ = 0;
   };
 
-  Arena() : Arena(Options()) {}
-  explicit Arena(Options opt);
+  Arena();
 
   /// Lease a block of at least `bytes` (rounded up to the alignment
   /// granularity; the free list is keyed on the rounded size, so equal-size

@@ -24,11 +24,15 @@
 //   ...                   // other callers submit concurrently
 //   runtime::Report r = fut.get();  // r.a holds the factors; r.report stats
 //
+// Payloads: every flushed batch is gathered into arena-leased staging blocks
+// (runtime/arena.h) and its results are scattered back into each request's
+// own buffers, which the solve never touches before that success scatter.
+//
 // Backpressure: every queue is bounded (max_queue_problems). submit() blocks
 // until there is room; try_submit() fails fast with nullopt. An exception
 // while executing a coalesced batch does not poison its neighbors: the batch
-// is re-run one request at a time and only the offending request's future
-// carries the exception.
+// is re-run one request at a time from the requests' pristine buffers and
+// only the offending request's future carries the exception.
 //
 // Health: every count lives in one obs instrument labelled runtime=<k> (k =
 // the process-wide construction ordinal, metric_labels()): requests,
@@ -254,17 +258,18 @@ struct RuntimeStats {
   /// amortizes, independent of how fast the host simulates it.
   double device_seconds = 0;
 
-  // Payload-path accounting (the zero-copy story). payload_allocs /
-  // payload_reuses are snapshots of the arena's slab mallocs and free-list
-  // hits: steady state must lease without allocating, so allocs flatten
-  // after warm-up (the CI alloc-budget gate enforces it). The batch-mode
-  // counts partition `batches` (plus execute_no_device batches, which
-  // assemble nothing).
+  // Payload-path accounting. payload_allocs / payload_reuses are snapshots
+  // of the arena's slab mallocs and free-list hits: steady state must lease
+  // without allocating, so allocs flatten after warm-up (the CI alloc-budget
+  // gate enforces it). Every device batch is staged, so staged_batches
+  // equals `batches` minus the execute_no_device batches, which assemble
+  // nothing.
   std::uint64_t payload_allocs = 0;       ///< arena slab mallocs (cumulative)
   std::uint64_t payload_reuses = 0;       ///< arena free-list hits
   std::uint64_t payload_bytes_copied = 0; ///< gather/scatter/pad memcpy bytes
-  std::uint64_t view_batches = 0;         ///< zero-copy batches (in-place or
-                                          ///< adjacent-lease view concat)
+  /// Always 0: the zero-copy view tier is gone. Kept so readers of the
+  /// former view/staged partition still build.
+  std::uint64_t view_batches = 0;
   std::uint64_t staged_batches = 0;       ///< arena-staged gather/scatter
   std::uint64_t ragged_batches = 0;       ///< batches from ragged buckets
 
@@ -354,15 +359,12 @@ class Runtime {
   /// launch waves of the planned kernel), as the queues use it.
   int preferred_batch(const Signature& sig) const;
 
-  /// The payload arena. Submitters may lease request buffers here
-  /// (lease_f32 / lease_c64 return zero-filled borrowed batches), write
-  /// problems in place, and submit as usual: back-to-back leases come back
-  /// address-adjacent, so a flush of such requests concatenates their
-  /// payloads into the device batch as a *view* — zero copies end to end
-  /// (resilience off; retries need a staged epoch to restore from). Results
-  /// ride the same block back inside Report::a/b, releasing it when the
-  /// Report is dropped.
-  Arena& arena() { return *arena_; }
+  /// Request buffers from the payload arena: zero-filled borrowed batches
+  /// on recycled slab blocks, so a client that writes its problems here and
+  /// submits as usual allocates nothing per request in steady state. The
+  /// flush gathers them into staging like any payload; results are
+  /// scattered back into the same block, which rides back inside
+  /// Report::a/b and is released when the Report is dropped.
   BatchF lease_f32(int count, int rows, int cols) {
     return arena_->batch_f32(count, rows, cols);
   }
@@ -406,34 +408,23 @@ class Runtime {
     FlushReason reason = FlushReason::size;
   };
 
-  /// How a batch's device-facing payload was built. `view`: the payload
-  /// borrows the submitters' own memory (a single request solved in place,
-  /// or adjacent arena leases concatenated) — zero copies, results land
-  /// where the callers already hold them. `staged`: problems are gathered
-  /// into arena-leased staging blocks (padded to the tile for ragged
-  /// buckets) and scattered back on success; the submitters' buffers stay
-  /// pristine until then, which is what makes retry restore a re-gather
-  /// instead of an eagerly allocated snapshot (CoW epochs: request buffers
-  /// are epoch 0, staging is the working epoch, scatter is the commit).
-  enum class AssemblyMode : std::uint8_t { view, staged };
+  /// A batch's device-facing payload: its problems gathered into
+  /// arena-leased staging blocks (padded to the tile for ragged buckets)
+  /// and scattered back on success. The submitters' buffers stay pristine
+  /// until then, so a retry restores by re-gathering instead of from an
+  /// eagerly allocated snapshot (CoW epochs: request buffers are epoch 0,
+  /// staging is the working epoch, scatter is the commit).
   struct Assembled {
     Payload payload;             ///< what the solver sees (borrowed storage)
-    AssemblyMode mode = AssemblyMode::view;
-    Arena::Lease a_block, b_block;  ///< staging storage (staged mode)
+    Arena::Lease a_block, b_block;  ///< the staging storage
     bool padded = false;         ///< any problem embedded below tile dims
   };
-  /// Pick the assembly mode for `batch` and build the device payload
-  /// (gathering into staging when zero-copy is not available).
-  Assembled assemble(Batch& batch);
+  /// Lease staging for `batch` and gather its problems into it.
+  Assembled assemble(const Batch& batch);
   /// (Re)fill the staging payload from the requests' pristine buffers.
   void gather(const Batch& batch, Assembled& as);
-  /// Copy staged results back into the requests' buffers (view = no-op).
+  /// Copy staged results back into the requests' buffers.
   void scatter(const Assembled& as, Batch& batch);
-  /// Resilience on means every batch stages (a retry must be able to
-  /// restore the working payload from the submitters' pristine epoch).
-  bool resilient() const {
-    return opt_.max_retries > 0 || opt_.cpu_fallback;
-  }
   /// Map sig to its ragged bucket tile when ragged coalescing applies.
   void apply_ragged(planner::Op op, const BatchF& a, Signature& sig) const;
 
@@ -458,20 +449,21 @@ class Runtime {
     int device_id = -1;
     std::string device;
   };
-  /// solve_one wrapped in the resilience policy: bounded backoff retry on
-  /// TransientLaunchFailure; on exhaustion the per-device circuit breaker
-  /// advances and the batch re-routes to a different fleet device (the lease
-  /// is swapped in place), then — out of devices — degrades to the optional
-  /// CPU fallback. Throws only when the policy is out of options. `restore`
-  /// re-pristines `p` before a retry (a staged batch re-gathers from the
-  /// submitters' buffers); may be empty when the policy cannot retry.
-  SolveReport solve_resilient(fleet::Lease& lease, const Signature& sig,
-                              Payload& p, SolveOutcome& outcome,
-                              const std::function<void()>& restore);
-  /// solve_resilient for a lone request payload (the isolation and re-run
-  /// paths): takes a lazy pristine snapshot only when resilience is on.
-  SolveReport solve_solo(fleet::Lease& lease, const Signature& sig,
-                         Payload& p, SolveOutcome& outcome);
+  /// solve_one on the staged payload `as` of `batch`, wrapped in the
+  /// resilience policy: bounded backoff retry on TransientLaunchFailure (each
+  /// retry first re-gathers `as` from the requests' pristine buffers); on
+  /// exhaustion the per-device circuit breaker advances and the batch
+  /// re-routes to a different fleet device (the lease is swapped in place),
+  /// then — out of devices — degrades to the optional CPU fallback. Throws
+  /// only when the policy is out of options.
+  SolveReport solve_resilient(fleet::Lease& lease, const Batch& batch,
+                              Assembled& as, SolveOutcome& outcome);
+  /// `batch` through the staged path on `lease`: assemble, solve_resilient,
+  /// then scatter the results into the requests' buffers — releasing the
+  /// lease first when `release` is set, so the stream is free before
+  /// delivery. When it throws, no request buffer has been written.
+  SolveReport solve_staged(fleet::Lease& lease, Batch& batch,
+                           SolveOutcome& outcome, bool release);
   /// Graceful degradation: the same contract as solve_one, on cpu:: solvers
   /// running over `pool` (a leased stream's fallback pool, or the runtime's
   /// own no-device pool via solve_cpu_unleased).
@@ -486,10 +478,7 @@ class Runtime {
                const Batch& batch, int offset, Clock::time_point started,
                const SolveOutcome& outcome);
   void dispatcher_loop();
-  /// `as` describes how the batch's payload was assembled (null for the
-  /// no-device path, which assembles nothing).
-  void record_batch_stats(const Batch& batch, double device_seconds,
-                          const Assembled* as = nullptr);
+  void record_batch_stats(const Batch& batch, double device_seconds);
   void record_latency(Clock::time_point enqueued);
   /// Resolve `req` with `err` unless another path already resolved it;
   /// counts the failure and its latency only when this call delivered it.

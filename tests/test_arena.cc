@@ -1,12 +1,12 @@
-// The payload arena and the zero-copy serving path built on it.
+// The payload arena and the staged serving path built on it.
 //
 // Arena.* pin the slab manager itself: exact-size free-list recycling
 // (steady state leases without allocating — the CI alloc-budget claim),
-// address-ordered adjacency, lease lifetime beyond the Arena handle, and
-// lease/release races (TSan). RuntimeArena.* drive the runtime's assembly
-// tiers through the solve_override hook: view concatenation over adjacent
-// client leases, arena-staged gather in steady state, and copy-on-write
-// epoch isolation across retries. RuntimeRagged.* cover mixed-shape
+// segment alignment, lease lifetime beyond the Arena handle, and
+// lease/release races (TSan). RuntimeArena.* drive the runtime's staged
+// assembly through the solve_override hook: arena-staged gather in steady
+// state, and copy-on-write epoch isolation across retries and the
+// isolation re-run. RuntimeRagged.* cover mixed-shape
 // coalescing: bucket keys, padding correctness against the cpu oracle per
 // sub-problem, and result slicing back to the submitted shapes.
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 
 #include "common/generators.h"
 #include "cpu/thread_pool.h"
-#include "obs/metrics.h"
 #include "ops/registry.h"
 #include "planner/op_traits.h"
 #include "runtime/arena.h"
@@ -61,27 +60,15 @@ TEST(Arena, SteadyStateLeasesWithoutAllocating) {
   EXPECT_EQ(st.bytes_leased, 0u);  // everything returned
 }
 
-TEST(Arena, SequentialLeasesAreAddressAdjacent) {
+TEST(Arena, LeasesAreSegmentAligned) {
   Arena arena;
-  // Fresh slab: carved blocks hand out in address order, so back-to-back
-  // leases of one size class are exactly adjacent — the property the
-  // runtime's view concatenation keys on.
+  // 128-byte (DRAM segment) alignment on every block, so a leased payload
+  // starts on a coalescing boundary.
   const std::size_t bytes = 1024;
   Arena::Lease a = arena.lease(bytes);
   Arena::Lease b = arena.lease(bytes);
-  Arena::Lease c = arena.lease(bytes);
-  EXPECT_EQ(a.data() + a.size(), b.data());
-  EXPECT_EQ(b.data() + b.size(), c.data());
-  // 128-byte (DRAM segment) alignment on every block.
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data()) % 128, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % 128, 0u);
-  // Released blocks come back lowest-address-first, restoring adjacency.
-  a.reset();
-  b.reset();
-  c.reset();
-  Arena::Lease d = arena.lease(bytes);
-  Arena::Lease e = arena.lease(bytes);
-  EXPECT_EQ(d.data() + d.size(), e.data());
 }
 
 TEST(Arena, LeaseOutlivesArena) {
@@ -175,14 +162,13 @@ TEST(Arena, RaggedTileBucketsAndConstraints) {
   EXPECT_FALSE(ragged_tile(ls, 4, 4));  // tall-only needs m > n
 }
 
-// --- Runtime assembly tiers (override-driven) ------------------------------
+// --- Runtime staged assembly (override-driven) -----------------------------
 
 constexpr float kPoison = -777.0f;
 
 /// Doubles every element (so scatter offsets are visible) and records the
-/// device batch's base pointer + dims; throws on poisoned values.
+/// device batch's dims; throws on poisoned values.
 struct ProbeSolver {
-  std::atomic<const float*> base{nullptr};
   std::atomic<int> rows{0}, cols{0}, problems{0}, calls{0};
   std::atomic<int> failures{0};  ///< TransientLaunchFailures to inject
 
@@ -192,7 +178,6 @@ struct ProbeSolver {
     opt.host_threads_per_stream = 1;
     opt.solve_override = [this](const Signature&, BatchF& a, BatchF& b) {
       calls.fetch_add(1);
-      base.store(a.data());
       rows.store(a.rows());
       cols.store(a.cols());
       problems.store(a.count());
@@ -219,44 +204,9 @@ BatchF marked(BatchF a, float mark) {
   return a;
 }
 
-// Adjacent client leases concatenate into the device batch as a view: the
-// solver sees the first request's own memory, nothing is copied, and the
-// results land in place.
-TEST(RuntimeArena, AdjacentLeasesCoalesceAsView) {
-  ProbeSolver probe;
-  auto opt = probe.options();
-  opt.max_batch_delay = 10s;
-  Runtime rt(opt);
-  std::vector<BatchF> leased;
-  for (int i = 0; i < 3; ++i)
-    leased.push_back(marked(rt.lease_f32(2, 8, 8), float(i + 1)));
-  const float* first = leased[0].data();
-  ASSERT_EQ(leased[0].data() + leased[0].size(), leased[1].data());
-  std::vector<std::future<Report>> futs;
-  for (BatchF& b : leased) futs.push_back(rt.submit(Op::qr, std::move(b)));
-  rt.flush();
-  for (int i = 0; i < 3; ++i) {
-    Report r = futs[i].get();
-    EXPECT_EQ(r.coalesced_requests, 3);
-    EXPECT_EQ(r.coalesced_problems, 6);
-    EXPECT_FLOAT_EQ(r.a.at(0, 0, 0), 2.0f * float(i + 1));
-    EXPECT_TRUE(r.a.borrowed());  // results ride the leased block back
-  }
-  // The solver saw the first lease itself — a view, not a gather.
-  EXPECT_EQ(probe.base.load(), first);
-  EXPECT_EQ(probe.problems.load(), 6);
-  EXPECT_EQ(
-      obs::counter_value("runtime.payload_bytes_copied", rt.metric_labels()),
-      0u);
-  rt.shutdown();
-  const auto st = rt.stats();
-  EXPECT_EQ(st.view_batches, 1u);
-  EXPECT_EQ(st.staged_batches, 0u);
-  EXPECT_EQ(st.payload_bytes_copied, 0u);
-}
-
-// Heap-allocated payloads from independent submitters gather into arena
-// staging; once the size classes are warm, no batch allocates.
+// Every batch gathers into arena staging: heap-allocated payloads from
+// independent submitters, and a lone owned request alike. Once the size
+// classes are warm, no batch allocates.
 TEST(RuntimeArena, StagedSteadyStateAllocatesNothing) {
   ProbeSolver probe;
   auto opt = probe.options();
@@ -268,21 +218,30 @@ TEST(RuntimeArena, StagedSteadyStateAllocatesNothing) {
     rt.flush();
     EXPECT_FLOAT_EQ(f1.get().a.at(0, 0, 0), 2.0f);
     EXPECT_FLOAT_EQ(f2.get().a.at(1, 7, 7), 4.0f);
+    // A lone owned request stages too; its results are scattered back into
+    // its own buffer.
+    BatchF a = marked(BatchF(2, 8, 8), 3.0f);
+    const float* own = a.data();
+    auto f3 = rt.submit(Op::qr, std::move(a));
+    rt.flush();
+    Report r3 = f3.get();
+    EXPECT_EQ(r3.coalesced_requests, 1);
+    EXPECT_EQ(r3.a.data(), own);
+    EXPECT_FLOAT_EQ(r3.a.at(0, 0, 0), 6.0f);
+    EXPECT_FLOAT_EQ(r3.a.at(1, 7, 7), 6.0f);
   };
   for (int i = 0; i < 5; ++i) cycle();  // warm the staging size classes
   // payload_allocs is folded live from the arena's atomics and leases happen
   // at assembly time (before the futures resolve), so this read is exact.
   const std::uint64_t warm = rt.stats().payload_allocs;
   for (int i = 0; i < 50; ++i) cycle();
-  // The batch-mode counters land after fulfillment, so join the streams
-  // before snapshotting — a resolved future does not imply recorded stats.
+  // The batch counters land after fulfillment, so join the streams before
+  // snapshotting — a resolved future does not imply recorded stats.
   rt.shutdown();
   const auto st = rt.stats();
   EXPECT_EQ(st.payload_allocs, warm);  // steady state: zero new slabs
-  // Owned payloads never view-concatenate (two heap vectors that happen to
-  // abut are still separate allocations), so every multi-request owned
-  // batch stages — deterministically.
-  EXPECT_EQ(st.staged_batches, 55u);
+  EXPECT_EQ(st.batches, 110u);
+  EXPECT_EQ(st.staged_batches, st.batches);
   EXPECT_EQ(st.view_batches, 0u);
   EXPECT_GE(st.payload_reuses, 35u);
   EXPECT_GT(st.payload_bytes_copied, 0u);
@@ -314,12 +273,11 @@ TEST(RuntimeArena, RetryRestoresStagedEpochByRegather) {
   EXPECT_EQ(rt.stats().retries, 2u);
 }
 
-// A view batch aliases the submitters' buffers; a failure can abort a
-// multi-launch solve mid-chain and leave them partially factored, and with
-// resilience off no pristine epoch exists to re-run from. The runtime must
-// fail the riders' futures with the batch's error rather than re-solve
-// from the corrupted input and deliver silently wrong results.
-TEST(RuntimeArena, ViewBatchFailureFailsFuturesNotCorruptRerun) {
+// Staging never writes a submitter's buffer before the success scatter, so
+// a failed batch with resilience off re-runs each rider alone from its
+// pristine buffer: the half-written first attempt leaves no trace, and
+// every future resolves with exactly one doubling.
+TEST(RuntimeArena, FailedBatchWithoutResilienceReRunsRidersFromPristineBuffers) {
   ProbeSolver probe;
   probe.failures = 1;  // the coalesced launch aborts after a half-write
   auto opt = probe.options();
@@ -328,20 +286,21 @@ TEST(RuntimeArena, ViewBatchFailureFailsFuturesNotCorruptRerun) {
   std::vector<BatchF> leased;
   for (int i = 0; i < 2; ++i)
     leased.push_back(marked(rt.lease_f32(2, 8, 8), float(i + 1)));
-  ASSERT_EQ(leased[0].data() + leased[0].size(), leased[1].data());
   std::vector<std::future<Report>> futs;
   for (BatchF& b : leased) futs.push_back(rt.submit(Op::qr, std::move(b)));
   rt.flush();
-  for (auto& f : futs)
-    EXPECT_THROW(f.get(), runtime::TransientLaunchFailure);
+  for (int i = 0; i < 2; ++i) {
+    Report r = futs[i].get();
+    EXPECT_EQ(r.coalesced_requests, 1);  // delivered by the solo re-run
+    EXPECT_FLOAT_EQ(r.a.at(0, 0, 0), 2.0f * float(i + 1));
+    EXPECT_FLOAT_EQ(r.a.at(1, 7, 7), 2.0f * float(i + 1));
+  }
   rt.shutdown();
-  // No solo re-run happened: the second call would have doubled the
-  // corrupted buffers and resolved the futures successfully.
-  EXPECT_EQ(probe.calls.load(), 1);
+  EXPECT_EQ(probe.calls.load(), 3);  // the failed batch + two solo runs
   const auto st = rt.stats();
-  EXPECT_EQ(st.view_batches, 1u);
-  EXPECT_EQ(st.failed_requests, 2u);
-  EXPECT_EQ(st.isolation_retries, 0u);
+  EXPECT_EQ(st.isolation_retries, 2u);
+  EXPECT_EQ(st.failed_requests, 0u);
+  EXPECT_EQ(st.fulfilled, 2u);
 }
 
 // A solo retry on the isolation path must restore the pristine epoch into
