@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
     if (n <= 32) {
       BatchF b(bench::pick(2 * 14336, 2048), n, n);
       fill_uniform(b, n);
-      row.push_back(core::qr_per_thread(dev, b).gflops());
+      row.emplace_back(core::qr_per_thread(dev, b).gflops());
     } else {
-      row.push_back(std::string("-"));
+      row.emplace_back(std::string("-"));
     }
 
     // One problem per block (one wave).
@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
           dev.config(), threads, core::per_block_regs(dev.config(), n, n, threads));
       BatchF b(blocks, n, n);
       fill_uniform(b, n + 1);
-      row.push_back(core::qr_per_block(dev, b).gflops());
+      row.emplace_back(core::qr_per_block(dev, b).gflops());
     } else {
-      row.push_back(std::string("-"));
+      row.emplace_back(std::string("-"));
     }
 
     // Hybrid blocked (sequential over problems, like the paper drove MAGMA).
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       // Past n = 512, skip the functional trailing updates (timing-only
       // sweep; the updates are modeled as GPU GEMM regardless).
       opt.functional = n <= 512;
-      row.push_back(hybrid::hybrid_qr_batch(b, opt, /*sample_cap=*/2).gflops());
+      row.emplace_back(hybrid::hybrid_qr_batch(b, opt, /*sample_cap=*/2).gflops());
     }
     t.add_row(std::move(row));
   }

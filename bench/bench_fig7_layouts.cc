@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
       fill_diag_dominant(a, n);
       fill_uniform(b, n + 1);
       const auto r = core::qr_solve_per_block(dev, a, b, {threads, layout});
-      row.push_back(r.gflops());
+      row.emplace_back(r.gflops());
     }
     t.add_row(std::move(row));
   }

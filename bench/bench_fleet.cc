@@ -45,7 +45,7 @@ using regla::planner::Op;
 using regla::runtime::Report;
 using regla::runtime::Runtime;
 using regla::runtime::RuntimeOptions;
-using Clock = regla::runtime::Clock;
+using regla::Clock;
 
 constexpr int kN = 8;  ///< per-thread QR: launch setup dominates, so routing
                        ///< and coalescing decisions are what separate runs

@@ -46,7 +46,7 @@ using regla::planner::Op;
 using regla::runtime::Report;
 using regla::runtime::Runtime;
 using regla::runtime::RuntimeOptions;
-using Clock = regla::runtime::Clock;
+using regla::Clock;
 
 constexpr int kProblemsPerRequest = 4;
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: configure with the planner subsystem held to
-# -Wall -Wextra -Werror, build everything, run the full test suite.
+# Tier-1 gate: configure with the whole tree (libraries, tests, benches,
+# examples) held to -Wall -Wextra -Werror, build everything, run the full
+# test suite.
 #
 # Before merging concurrency- or memory-touching work, also run the tier-2
 # sanitizer gates:

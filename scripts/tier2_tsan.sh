@@ -19,7 +19,8 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 
 # Planner*/Solver* plan through a planner whose labelled gauges every worker
 # stream of a runtime writes; RuntimeQueue.* drive the runtime through the
-# solve_override hook (pure queueing, no kernels); RuntimeSolve.* add real kernel launches; Engine*
+# solve_override hook (pure queueing and the dispatcher's deadline scan, no
+# kernels); RuntimeSolve.* add real kernel launches; Engine*
 # and KernelGolden* run every kernel family on the host worker pool;
 # RuntimeFault*/EngineFault* exercise the fault-injection and resilience
 # paths (retry/backoff, deadline failure, shedding, CPU fallback — all of
@@ -32,6 +33,6 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 # `timeout` backstops the raw gtest run: ctest's per-test TIMEOUT does not
 # apply here, and a sanitizer-found deadlock must fail, not hang the gate.
 timeout 1800 ./build-tsan/tests/regla_tests \
-  --gtest_filter='ThreadPool*:PlanCache*:Planner*:Solver*:RuntimeQueue*:RuntimeSolve*:RuntimeFault*:Engine*:KernelGolden*:TimerWheel*:Obs*:OpsRegistry*:OpsZoo*:Fleet*:ReplayVerify*:Arena*:RuntimeArena*:RuntimeRagged*'
+  --gtest_filter='ThreadPool*:PlanCache*:Planner*:Solver*:RuntimeQueue*:RuntimeSolve*:RuntimeFault*:Engine*:KernelGolden*:Obs*:OpsRegistry*:OpsZoo*:Fleet*:ReplayVerify*:Arena*:RuntimeArena*:RuntimeRagged*'
 
 echo "tier2 tsan: clean"

@@ -4,19 +4,20 @@
 
 #include <chrono>
 
+#include "common/clock.h"
+
 namespace regla {
 
 class WallTimer {
  public:
-  WallTimer() : start_(clock::now()) {}
-  void reset() { start_ = clock::now(); }
+  WallTimer() : start_(Clock::now()) {}
+  void reset() { start_ = Clock::now(); }
   double seconds() const {
-    return std::chrono::duration<double>(clock::now() - start_).count();
+    return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
  private:
-  using clock = std::chrono::steady_clock;
-  clock::time_point start_;
+  Clock::time_point start_;
 };
 
 }  // namespace regla

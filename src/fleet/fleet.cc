@@ -82,10 +82,11 @@ void Lease::release() {
 
 // --- Fleet ----------------------------------------------------------------
 
-Fleet::Fleet(Options opt) : opt_(std::move(opt)) {
+Fleet::Fleet(Options opt, std::shared_ptr<planner::Planner> planner)
+    : opt_(std::move(opt)),
+      planner_(planner ? std::move(planner)
+                       : std::make_shared<planner::Planner>()) {
   REGLA_CHECK_MSG(!opt_.devices.empty(), "Fleet needs at least one device");
-  planner_ = opt_.planner ? opt_.planner
-                          : std::make_shared<planner::Planner>();
   int initial_streams = 0;
   for (const DeviceSpec& s : opt_.devices)
     initial_streams += std::max(1, s.streams);
@@ -125,7 +126,7 @@ std::optional<Lease> Fleet::try_route(const planner::ProblemDesc& desc,
     candidates.push_back(c);
     owners.push_back(&m);
   }
-  const int idx = pick(opt_.router, candidates);
+  const int idx = pick(candidates);
   if (idx < 0) return std::nullopt;
   Member& m = *owners[idx];
   Lease lease;

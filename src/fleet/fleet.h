@@ -44,13 +44,12 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "cpu/thread_pool.h"
 #include "fleet/router.h"
 #include "planner/solver.h"
 
 namespace regla::fleet {
-
-using Clock = std::chrono::steady_clock;
 
 /// One worker stream: its own simulated Device + Solver over the fleet's
 /// shared planner (so a signature planned on any stream is a plan-cache hit
@@ -183,15 +182,10 @@ struct FleetOptions {
   /// Host threads each stream's Device simulates blocks with; 0 splits
   /// hardware_concurrency over the initial stream count.
   int host_threads_per_stream = 0;
-  /// Placement policy knobs (fleet/router.h).
-  RouterOptions router;
   /// Exhausted-retry episodes that open a device's circuit breaker (0
   /// disables the breaker), and how long it stays open.
   int circuit_break_after = 2;
   std::chrono::milliseconds circuit_cooldown{50};
-  /// The shared planner (and plan cache) every stream solves through;
-  /// created fresh when null.
-  std::shared_ptr<planner::Planner> planner;
   /// Replay memoization on every stream device (simt/replay.h): simulate
   /// representative blocks per launch shape, replay the cycle accounting
   /// for the rest. Timing-exact for the data-independent ops the runtime
@@ -204,7 +198,10 @@ class Fleet {
  public:
   using Options = FleetOptions;
 
-  explicit Fleet(Options opt);
+  /// `planner` is the shared planner (and plan cache) every stream solves
+  /// through; created fresh when null.
+  explicit Fleet(Options opt,
+                 std::shared_ptr<planner::Planner> planner = nullptr);
   ~Fleet();
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;

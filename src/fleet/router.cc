@@ -2,8 +2,7 @@
 
 namespace regla::fleet {
 
-int pick(const RouterOptions& opt,
-         const std::vector<RouteCandidate>& candidates) {
+int pick(const std::vector<RouteCandidate>& candidates) {
   int best = -1;
   double best_score = 0;
   bool best_open = false;
@@ -11,7 +10,7 @@ int pick(const RouterOptions& opt,
   for (int i = 0; i < static_cast<int>(candidates.size()); ++i) {
     const RouteCandidate& c = candidates[i];
     double score = c.load;
-    if (c.warm) score -= opt.affinity_bonus;
+    if (c.warm) score -= kAffinityBonus;
     const bool better =
         best < 0 ||
         // A closed circuit always beats an open one, whatever the load.

@@ -15,9 +15,9 @@
 //   2. queue depth    — fewer inflight batches per stream wins; this is what
 //      keeps every device's batch pipeline full instead of hot-spotting one.
 //   3. plan-cache affinity — a device whose config fingerprint already has a
-//      cached plan for the signature gets a load discount (affinity_bonus,
-//      in units of batches-per-stream), so ties and near-ties route to
-//      devices that skip planning.
+//      cached plan for the signature gets a fixed load discount
+//      (kAffinityBonus, in units of batches-per-stream), so ties and
+//      near-ties route to devices that skip planning.
 //   4. round-robin    — exact ties break toward the least-recently-routed
 //      device, so a cold homogeneous fleet interleaves deterministically.
 #pragma once
@@ -27,11 +27,9 @@
 
 namespace regla::fleet {
 
-struct RouterOptions {
-  /// Load discount (in batches-per-stream) for a device whose plan cache is
-  /// already warm for the signature being placed. 0 disables affinity.
-  double affinity_bonus = 0.5;
-};
+/// Load discount (in batches-per-stream) for a device whose plan cache is
+/// already warm for the signature being placed.
+inline constexpr double kAffinityBonus = 0.5;
 
 /// What the router sees of one routable device (snapshot, not live state).
 struct RouteCandidate {
@@ -44,7 +42,6 @@ struct RouteCandidate {
 
 /// Index into `candidates` of the device to place on, or -1 when the list is
 /// empty. Never returns a circuit-open candidate while a closed one exists.
-int pick(const RouterOptions& opt,
-         const std::vector<RouteCandidate>& candidates);
+int pick(const std::vector<RouteCandidate>& candidates);
 
 }  // namespace regla::fleet

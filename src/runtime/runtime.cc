@@ -74,10 +74,6 @@ std::size_t SignatureHash::operator()(const Signature& s) const {
 
 Runtime::Runtime(Options opt)
     : opt_(std::move(opt)),
-      wheel_(Clock::now(), opt_.timer_granularity <= decltype(opt_.timer_granularity){0}
-                               ? std::chrono::microseconds{100}
-                               : opt_.timer_granularity,
-             std::max<std::size_t>(1, opt_.timer_slots)),
       metrics_(new Metrics{"runtime=" + std::to_string(g_next_runtime++)}) {
   REGLA_CHECK_MSG(!opt_.planner.autotune,
                   "runtime streams share one planner; autotune measurement "
@@ -88,23 +84,12 @@ Runtime::Runtime(Options opt)
   planner_ = std::make_shared<planner::Planner>(opt_.planner);
   arena_ = std::make_unique<Arena>();
 
-  fleet::Fleet::Options fopt;
-  fopt.devices = opt_.devices;
+  fleet::FleetOptions fopt = opt_;
   if (fopt.devices.empty()) {
     // Legacy single-device shape: one member carrying all worker streams.
-    fleet::DeviceSpec spec;
-    spec.name = "dev0";
-    spec.config = opt_.device;
-    spec.streams = opt_.workers;
-    fopt.devices.push_back(std::move(spec));
+    fopt.devices.push_back({"dev0", opt_.device, opt_.workers});
   }
-  fopt.host_threads_per_stream = opt_.host_threads_per_stream;
-  fopt.router = opt_.router;
-  fopt.circuit_break_after = opt_.circuit_break_after;
-  fopt.circuit_cooldown = opt_.circuit_cooldown;
-  fopt.planner = planner_;
-  fopt.replay = opt_.replay;
-  fleet_ = std::make_unique<fleet::Fleet>(std::move(fopt));
+  fleet_ = std::make_unique<fleet::Fleet>(std::move(fopt), planner_);
 
   // streams + spares + 1 so the pool has one helper thread per stream (the
   // constructing thread only counts for parallel_for) plus headroom for
@@ -330,7 +315,12 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
     } else {
       while (q.pending_problems >= q.target)
         ready.push_back(take_batch(q, FlushReason::size));
-      update_timer(q);
+      update_flush_at(q);
+      if (q.flush_at < wake_at_) {
+        // The dispatcher sleeps past this queue's deadline: wake it early.
+        wake_at_ = q.flush_at;
+        cv_dispatch_.notify_one();
+      }
     }
   }
   for (Batch& b : ready) launch(std::move(b));
@@ -358,69 +348,50 @@ Runtime::Batch Runtime::take_batch(Queue& q, FlushReason reason) {
   }
   q.pending_problems -= batch.problems;
   if (q.space_waiters > 0) cv_space_.notify_all();
-  update_timer(q);
+  update_flush_at(q);
   return batch;
 }
 
-void Runtime::update_timer(Queue& q) {
+void Runtime::update_flush_at(Queue& q) {
   if (opt_.max_batch_delay.count() == 0) return;
   if (q.pending.empty()) {
     q.min_deadline = Clock::time_point::max();
-    if (q.timer_id != 0) {
-      wheel_.cancel(q.timer_id);
-      timer_owner_.erase(q.timer_id);
-      q.timer_id = 0;
-    }
+    q.flush_at = Clock::time_point::max();
     return;
   }
   // A request whose own deadline lands before the coalescing window closes
   // pulls the flush forward — waiting the full max_batch_delay would hand
   // it to the workers already expired.
-  Clock::time_point deadline =
-      q.pending.front().enqueued + opt_.max_batch_delay;
-  if (q.min_deadline < deadline) deadline = q.min_deadline;
-  if (q.timer_id != 0 && q.timer_deadline == deadline) return;
-  if (q.timer_id != 0) {
-    wheel_.cancel(q.timer_id);
-    timer_owner_.erase(q.timer_id);
-  }
-  q.timer_id = next_timer_id_++;
-  q.timer_deadline = deadline;
-  timer_owner_[q.timer_id] = q.sig;
-  wheel_.arm(q.timer_id, deadline);
-  cv_dispatch_.notify_one();
+  q.flush_at = std::min(q.pending.front().enqueued + opt_.max_batch_delay,
+                        q.min_deadline);
 }
 
 void Runtime::dispatcher_loop() {
+  // Each queue has exactly one deadline (flush_at), so a scan of the few
+  // live signatures finds every due queue and the next wake-up; waking
+  // spuriously or by timeout only rescans, so no queue flushes early.
   std::unique_lock<std::mutex> lock(mu_);
   while (!dispatcher_stop_) {
-    const Clock::time_point next = wheel_.next_deadline();
-    if (next == Clock::time_point::max()) {
-      cv_dispatch_.wait(lock);
-    } else {
-      const Clock::time_point now = Clock::now();
-      if (next > now) cv_dispatch_.wait_until(lock, next);
-    }
-    if (dispatcher_stop_) break;
-
+    const Clock::time_point now = Clock::now();
+    Clock::time_point next = Clock::time_point::max();
     std::vector<Batch> ready;
-    for (std::uint64_t id : wheel_.advance(Clock::now())) {
-      const auto owner = timer_owner_.find(id);
-      if (owner == timer_owner_.end()) continue;
-      const Signature sig = owner->second;
-      timer_owner_.erase(owner);
-      const auto qit = queues_.find(sig);
-      if (qit == queues_.end() || qit->second.timer_id != id) continue;
-      Queue& q = qit->second;
-      q.timer_id = 0;
-      while (!q.pending.empty())
-        ready.push_back(take_batch(q, FlushReason::deadline));
+    for (auto& [sig, q] : queues_) {
+      if (q.flush_at <= now)
+        while (!q.pending.empty())
+          ready.push_back(take_batch(q, FlushReason::deadline));
+      next = std::min(next, q.flush_at);
     }
+    wake_at_ = next;
     if (!ready.empty()) {
       lock.unlock();
       for (Batch& b : ready) launch(std::move(b));
       lock.lock();
+      continue;  // time passed while launching: rescan before sleeping
     }
+    if (next == Clock::time_point::max())
+      cv_dispatch_.wait(lock);
+    else
+      cv_dispatch_.wait_until(lock, next);
   }
 }
 

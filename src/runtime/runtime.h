@@ -55,17 +55,15 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/clock.h"
 #include "cpu/thread_pool.h"
 #include "fleet/fleet.h"
 #include "planner/op_traits.h"
 #include "planner/solver.h"
 #include "runtime/arena.h"
 #include "runtime/errors.h"
-#include "runtime/timer_wheel.h"
 
 namespace regla::runtime {
-
-using Clock = std::chrono::steady_clock;
 
 /// Why a queue was pushed to the workers.
 enum class FlushReason : std::uint8_t { size = 0, deadline, manual, shutdown };
@@ -139,21 +137,18 @@ struct SubmitOptions {
   std::chrono::microseconds deadline{0};
 };
 
-struct RuntimeOptions {
-  /// The fleet: every entry is a device (heterogeneous configs allowed) with
-  /// its own worker streams; coalesced batches are routed across them by
-  /// queue depth, plan-cache affinity, and circuit state (fleet/router.h).
-  /// Empty = the single-device legacy shape: one member named "dev0" built
-  /// from `device` below with `workers` streams.
-  std::vector<fleet::DeviceSpec> devices;
-  /// Placement policy knobs for the fleet router.
-  fleet::RouterOptions router;
+/// The fleet knobs are inherited from fleet::FleetOptions and handed to the
+/// fleet as they are: `devices` (each entry a device with its own worker
+/// streams; batches are routed across them by queue depth, plan-cache
+/// affinity and circuit state), `host_threads_per_stream`, the circuit
+/// breaker's `circuit_break_after` / `circuit_cooldown` (exhausted-retry
+/// episodes that open a device's breaker, and how long it stays open), and
+/// `replay`. Empty `devices` = the single-device legacy shape: one member
+/// named "dev0" built from `device` below with `workers` streams.
+struct RuntimeOptions : fleet::FleetOptions {
   /// Worker streams for the legacy single-device shape (ignored when
   /// `devices` is set; stream counts then come from each DeviceSpec).
   int workers = 2;
-  /// Host threads each stream's Device uses to run independent blocks
-  /// (0 = hardware_concurrency / workers, so streams do not oversubscribe).
-  int host_threads_per_stream = 0;
   /// How long the oldest request in a queue may wait before the queue is
   /// flushed below the model-preferred size. Zero disables coalescing:
   /// every submission flushes immediately (the bench's baseline mode).
@@ -167,17 +162,8 @@ struct RuntimeOptions {
   /// (target batch = target_waves * Plan::concurrent, capped by
   /// max_flush_problems).
   int target_waves = 1;
-  /// Timer wheel slot width for deadline tracking.
-  std::chrono::microseconds timer_granularity{100};
-  std::size_t timer_slots = 256;
-  /// Replay memoization on the stream devices (fleet::FleetOptions::replay,
-  /// simt/replay.h): per launch shape, simulate representative blocks and
-  /// replay their cycle accounting for the rest. Timing-exact for the
-  /// data-independent ops the runtime serves (REGLA_REPLAY_VERIFY=1
-  /// re-simulates and asserts it); false = full simulation per block.
-  bool replay = true;
-  /// Device configuration for the legacy single-device shape (and the
-  /// default config for `devices` entries that do not set one).
+  /// Device configuration of the legacy single-device shape only (a
+  /// `devices` entry carries its own DeviceSpec::config).
   simt::DeviceConfig device = simt::DeviceConfig::quadro6000();
   /// Options for the shared planner. Autotune must stay off (measuring
   /// through a shared planner would race across worker devices).
@@ -196,11 +182,6 @@ struct RuntimeOptions {
   /// Exponential backoff before retry k sleeps retry_backoff * 2^k, capped.
   std::chrono::microseconds retry_backoff{50};
   std::chrono::microseconds retry_backoff_cap{5000};
-  /// Consecutive exhausted-retry episodes that open a device's circuit
-  /// breaker, and how long it stays open (the router then avoids the device
-  /// while any sibling's breaker is closed).
-  int circuit_break_after = 2;
-  std::chrono::milliseconds circuit_cooldown{50};
   /// Graceful degradation: when retries are exhausted the batch first tries
   /// to re-route to a different fleet device; only when no other device is
   /// available (or the whole fleet is circuit-open) does it solve on the
@@ -392,14 +373,16 @@ class Runtime {
     std::deque<Pending> pending;
     int pending_problems = 0;
     int target = 0;            ///< model-preferred flush size
-    std::uint64_t timer_id = 0;  ///< armed wheel timer, 0 = none
-    Clock::time_point timer_deadline{};  ///< deadline the armed timer tracks
     int space_waiters = 0;     ///< submitters blocked on backpressure
     /// Earliest per-request deadline among pending (max() = none). Updated
     /// incrementally on push and reset when the queue drains; after a
     /// partial flush it may be stale-early, which only costs an early
     /// deadline-reason flush, never a late one.
     Clock::time_point min_deadline = Clock::time_point::max();
+    /// When the dispatcher deadline-flushes this queue: the earlier of the
+    /// oldest request's enqueued + max_batch_delay and min_deadline; max()
+    /// while the queue is empty.
+    Clock::time_point flush_at = Clock::time_point::max();
   };
   struct Batch {
     Signature sig;
@@ -433,8 +416,8 @@ class Runtime {
                               std::chrono::microseconds deadline = {});
   /// Pop whole requests from `q` up to the flush cap (requires mu_ held).
   Batch take_batch(Queue& q, FlushReason reason);
-  /// Re-arm or cancel q's deadline timer after a mutation (requires mu_).
-  void update_timer(Queue& q);
+  /// Recompute q.flush_at after a mutation (requires mu_).
+  void update_flush_at(Queue& q);
   void launch(Batch&& batch);
   void execute(Batch& batch);
   /// The no-routable-device path: every eligible fleet member is drained or
@@ -504,17 +487,18 @@ class Runtime {
   std::mutex no_device_mu_;
   std::unique_ptr<cpu::ThreadPool> no_device_pool_;
 
-  mutable std::mutex mu_;  ///< queues, wheel, inflight, closed
+  mutable std::mutex mu_;  ///< queues, wake_at_, inflight, closed
   std::unordered_map<Signature, Queue, SignatureHash> queues_;
-  TimerWheel wheel_;
-  std::unordered_map<std::uint64_t, Signature> timer_owner_;
-  std::uint64_t next_timer_id_ = 1;
+  /// The smallest flush_at the dispatcher last saw (max() = it sleeps until
+  /// notified). An enqueue that sets an earlier flush_at lowers it and wakes
+  /// the dispatcher.
+  Clock::time_point wake_at_ = Clock::time_point::max();
   int inflight_ = 0;
   bool closed_ = false;
   bool dispatcher_stop_ = false;
   std::condition_variable cv_space_;     ///< backpressure waiters
   std::condition_variable cv_idle_;      ///< wait_idle / shutdown drain
-  std::condition_variable cv_dispatch_;  ///< dispatcher timer wakeups
+  std::condition_variable cv_dispatch_;  ///< dispatcher deadline wakeups
 
   /// The obs instruments behind stats(), resolved once at construction.
   struct Metrics;

@@ -148,7 +148,7 @@ constexpr int kN = 8;
 
 BatchF marked_batch(int count, float mark) {
   BatchF a(count, kN, kN);
-  for (int i = 0; i < count * a.stride(); ++i) a.data()[i] = mark;
+  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = mark;
   return a;
 }
 
@@ -173,8 +173,8 @@ struct FlakySolver {
       if (a.count() > 0) a.at(0, 0, 0) *= 2.0f;
       if (failures.fetch_sub(1) > 0)
         throw TransientLaunchFailure("injected by test");
-      for (int i = 1; i < a.count() * a.stride(); ++i) a.data()[i] *= 2.0f;
-      for (int i = 0; i < b.count() * b.stride(); ++i) b.data()[i] *= 2.0f;
+      for (std::size_t i = 1; i < a.size(); ++i) a.data()[i] *= 2.0f;
+      for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] *= 2.0f;
       SolveReport r;
       r.nominal_flops = a.count();
       return r;

@@ -30,7 +30,6 @@ using namespace std::chrono_literals;
 using fleet::DeviceSpec;
 using fleet::DeviceState;
 using fleet::RouteCandidate;
-using fleet::RouterOptions;
 using planner::Op;
 using runtime::Report;
 using runtime::Runtime;
@@ -51,49 +50,46 @@ RouteCandidate cand(int device, double load, bool warm = false,
 }
 
 TEST(FleetRouter, PrefersLowestLoad) {
-  RouterOptions opt;
   const std::vector<RouteCandidate> cs = {cand(0, 1.0), cand(1, 0.25),
                                           cand(2, 0.5)};
-  EXPECT_EQ(fleet::pick(opt, cs), 1);
+  EXPECT_EQ(fleet::pick(cs), 1);
 }
 
 TEST(FleetRouter, AffinityDiscountsLoad) {
-  RouterOptions opt;  // affinity_bonus = 0.5
+  static_assert(fleet::kAffinityBonus == 0.5);
   // Device 1 is busier but already holds a cached plan for the signature:
   // 0.75 - 0.5 = 0.25 beats device 0's cold 0.5.
   const std::vector<RouteCandidate> cs = {cand(0, 0.5, /*warm=*/false),
                                           cand(1, 0.75, /*warm=*/true)};
-  EXPECT_EQ(fleet::pick(opt, cs), 1);
-  // With affinity off, raw load decides.
-  opt.affinity_bonus = 0;
-  EXPECT_EQ(fleet::pick(opt, cs), 0);
+  EXPECT_EQ(fleet::pick(cs), 1);
+  // The discount is bounded: 1.25 - 0.5 = 0.75 loses to the cold 0.5.
+  const std::vector<RouteCandidate> far = {cand(0, 0.5, /*warm=*/false),
+                                           cand(1, 1.25, /*warm=*/true)};
+  EXPECT_EQ(fleet::pick(far), 0);
 }
 
 TEST(FleetRouter, ClosedCircuitBeatsOpenWhateverTheLoad) {
-  RouterOptions opt;
   const std::vector<RouteCandidate> cs = {
       cand(0, 0.0, /*warm=*/true, /*open=*/true), cand(1, 5.0)};
-  EXPECT_EQ(fleet::pick(opt, cs), 1);
+  EXPECT_EQ(fleet::pick(cs), 1);
 }
 
 TEST(FleetRouter, AllOpenStillPicksOne) {
-  RouterOptions opt;
   const std::vector<RouteCandidate> cs = {cand(0, 1.0, false, true),
                                           cand(1, 0.5, false, true)};
-  EXPECT_EQ(fleet::pick(opt, cs), 1);  // lowest load among the open
+  EXPECT_EQ(fleet::pick(cs), 1);  // lowest load among the open
 }
 
 TEST(FleetRouter, RoundRobinBreaksExactTies) {
-  RouterOptions opt;
   // Same load, same warmth: the least-recently-routed stamp wins.
   const std::vector<RouteCandidate> cs = {cand(0, 0.0, false, false, 7),
                                           cand(1, 0.0, false, false, 3),
                                           cand(2, 0.0, false, false, 5)};
-  EXPECT_EQ(fleet::pick(opt, cs), 1);
+  EXPECT_EQ(fleet::pick(cs), 1);
 }
 
 TEST(FleetRouter, EmptyListReturnsMinusOne) {
-  EXPECT_EQ(fleet::pick(RouterOptions{}, {}), -1);
+  EXPECT_EQ(fleet::pick({}), -1);
 }
 
 // --- Plan-cache affinity ---------------------------------------------------
@@ -261,7 +257,7 @@ std::atomic<int> g_slow_solves{0};
 SolveReport slow_override(const Signature&, BatchF& a, BatchF&) {
   ++g_slow_solves;
   std::this_thread::sleep_for(5ms);
-  for (int i = 0; i < a.count() * a.stride(); ++i) a.data()[i] *= 2.0f;
+  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] *= 2.0f;
   SolveReport r;
   r.nominal_flops = a.count();
   r.seconds = 1e-4;
@@ -270,7 +266,7 @@ SolveReport slow_override(const Signature&, BatchF& a, BatchF&) {
 
 BatchF marked(int count, int n, float mark) {
   BatchF a(count, n, n);
-  for (int i = 0; i < count * a.stride(); ++i) a.data()[i] = mark;
+  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = mark;
   return a;
 }
 

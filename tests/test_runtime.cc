@@ -19,7 +19,6 @@
 #include "common/generators.h"
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
-#include "runtime/timer_wheel.h"
 #include "test_util.h"
 
 namespace regla {
@@ -40,8 +39,8 @@ constexpr float kPoison = -777.0f;
 SolveReport doubling_override(const Signature&, BatchF& a, BatchF& b) {
   for (int k = 0; k < a.count(); ++k)
     if (a.at(k, 0, 0) == kPoison) throw std::runtime_error("injected fault");
-  for (int i = 0; i < a.count() * a.stride(); ++i) a.data()[i] *= 2.0f;
-  for (int i = 0; i < b.count() * b.stride(); ++i) b.data()[i] *= 2.0f;
+  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] *= 2.0f;
+  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] *= 2.0f;
   SolveReport r;
   r.nominal_flops = a.count();
   return r;
@@ -57,7 +56,7 @@ RuntimeOptions queue_options() {
 
 BatchF marked_batch(int count, int n, float mark) {
   BatchF a(count, n, n);
-  for (int i = 0; i < count * a.stride(); ++i) a.data()[i] = mark;
+  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = mark;
   return a;
 }
 
@@ -128,9 +127,61 @@ TEST(RuntimeQueue, DeadlineFlushesSingleStraggler) {
   EXPECT_EQ(r.flush, FlushReason::deadline);
   EXPECT_EQ(r.coalesced_requests, 1);
   EXPECT_EQ(r.coalesced_problems, 3);
-  EXPECT_GE(r.queue_seconds, 0.002 * 0.5);  // it did wait for the deadline
+  // Never early: it waited out the whole window.
+  EXPECT_GE(r.queue_seconds,
+            std::chrono::duration<double>(opt.max_batch_delay).count());
   rt.wait_idle();
   EXPECT_EQ(rt.stats().flushed(FlushReason::deadline), 1u);
+}
+
+// The dispatcher sleeps until the earliest queue deadline it knows of. A
+// later submission to another signature with an earlier deadline must wake
+// it: B's 10 ms request deadline pulls B's flush forward while A's 200 ms
+// coalescing window is still open.
+TEST(RuntimeQueue, EarlierDeadlineOnAnotherQueueWakesDispatcher) {
+  auto opt = queue_options();
+  opt.max_batch_delay = 200ms;
+  Runtime rt(opt);
+  auto a = rt.submit(Op::qr, marked_batch(1, 8, 1.0f));
+  std::this_thread::sleep_for(20ms);  // the dispatcher now sleeps on A
+  // B's queue: a rider without a deadline, then one with a 10 ms deadline.
+  // The rider flushes with it and reports the queue time; the deadline
+  // request itself resolves DeadlineExceeded (it flushes at its deadline).
+  auto b_rider = rt.submit(Op::lu, marked_batch(1, 8, 2.0f));
+  runtime::SubmitOptions sopts;
+  sopts.deadline = 10ms;
+  auto b_due = rt.submit(Op::lu, marked_batch(1, 8, 3.0f), {}, sopts);
+  ASSERT_EQ(b_rider.wait_for(5s), std::future_status::ready);
+  const Report rb = b_rider.get();
+  EXPECT_EQ(rb.flush, FlushReason::deadline);
+  EXPECT_LT(rb.queue_seconds, 0.1);
+  EXPECT_THROW(b_due.get(), runtime::DeadlineExceeded);
+  ASSERT_EQ(a.wait_for(5s), std::future_status::ready);
+  const Report ra = a.get();
+  EXPECT_EQ(ra.flush, FlushReason::deadline);
+  EXPECT_GE(ra.queue_seconds, 0.2);
+}
+
+// A queue that deadline-flushed, then sat empty for 40 ms (many times its
+// 2 ms window), flushes a new request on its deadline exactly once more:
+// the idle gap leaves no stale deadline behind.
+TEST(RuntimeQueue, DeadlineRefiresAfterIdleGap) {
+  auto opt = queue_options();
+  opt.max_batch_delay = 2ms;
+  Runtime rt(opt);
+  auto first = rt.submit(Op::qr, marked_batch(1, 8, 1.0f));
+  ASSERT_EQ(first.wait_for(5s), std::future_status::ready);
+  EXPECT_EQ(first.get().flush, FlushReason::deadline);
+  std::this_thread::sleep_for(40ms);
+  auto second = rt.submit(Op::qr, marked_batch(1, 8, 2.0f));
+  ASSERT_EQ(second.wait_for(5s), std::future_status::ready);
+  const Report r = second.get();
+  EXPECT_EQ(r.flush, FlushReason::deadline);
+  EXPECT_EQ(r.coalesced_requests, 1);
+  rt.wait_idle();
+  const auto st = rt.stats();
+  EXPECT_EQ(st.flushed(FlushReason::deadline), 2u);
+  EXPECT_EQ(st.batches, 2u);
 }
 
 // try_submit on a full queue fails fast with nullopt; blocking submit waits
@@ -385,148 +436,9 @@ TEST(RuntimeSolve, ComplexQRCoalesces) {
   EXPECT_EQ(r2.ca.count(), 2);
   // The factorization actually ran: the payload changed.
   bool changed = false;
-  for (int i = 0; i < r1.ca.count() * r1.ca.stride() && !changed; ++i)
+  for (std::size_t i = 0; i < r1.ca.size() && !changed; ++i)
     changed = r1.ca.data()[i] != a1_0.data()[i];
   EXPECT_TRUE(changed);
-}
-
-// --- Timer wheel -----------------------------------------------------------
-
-TEST(TimerWheel, FiresInDeadlineOrderAcrossLaps) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 8);  // tiny wheel: laps happen fast
-  wheel.arm(1, t0 + 250us);
-  wheel.arm(2, t0 + 50us);
-  wheel.arm(3, t0 + 3ms);  // several laps out
-  EXPECT_EQ(wheel.next_deadline(), t0 + 50us);
-
-  auto fired = wheel.advance(t0 + 100us);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 2u);
-  EXPECT_EQ(wheel.next_deadline(), t0 + 250us);
-
-  fired = wheel.advance(t0 + 1ms);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 1u);
-
-  fired = wheel.advance(t0 + 5ms);  // the lapped entry fires on its lap
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 3u);
-  EXPECT_TRUE(wheel.empty());
-}
-
-TEST(TimerWheel, CancelledTimersNeverFire) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 16);
-  wheel.arm(1, t0 + 200us);
-  wheel.arm(2, t0 + 200us);
-  wheel.cancel(1);
-  EXPECT_EQ(wheel.armed(), 1u);
-  auto fired = wheel.advance(t0 + 1ms);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 2u);
-  EXPECT_TRUE(wheel.empty());
-}
-
-// Advancing over a long idle stretch is one bounded pass over the slot
-// array, not a walk of every elapsed tick — and deadlines armed across the
-// gap still fire exactly on time, early advances included.
-TEST(TimerWheel, IdleGapAdvanceKeepsDeadlines) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 16);
-  EXPECT_TRUE(wheel.advance(t0 + 1ms).empty());  // idle, nothing armed
-  wheel.arm(1, t0 + 60s);  // ~600k ticks past the cursor
-  wheel.arm(2, t0 + 2ms);  // much earlier — must not be delayed by #1
-  auto fired = wheel.advance(t0 + 5ms);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 2u);
-  EXPECT_EQ(wheel.next_deadline(), t0 + 60s);
-  fired = wheel.advance(t0 + 60s);  // spans minutes in one call
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 1u);
-  EXPECT_TRUE(wheel.empty());
-}
-
-// Cancelling the last live timer purges the lazily-cancelled leftovers, so
-// an idle wheel carries no stale state into the next arm/advance cycle.
-TEST(TimerWheel, PurgeAfterLastCancelKeepsWheelConsistent) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 16);
-  wheel.arm(1, t0 + 200us);
-  wheel.arm(2, t0 + 47s);
-  wheel.cancel(1);
-  wheel.cancel(2);
-  EXPECT_TRUE(wheel.empty());
-  EXPECT_TRUE(wheel.advance(t0 + 1ms).empty());
-  wheel.arm(3, t0 + 50s);
-  auto fired = wheel.advance(t0 + 50s);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 3u);
-  EXPECT_TRUE(wheel.empty());
-}
-
-// Regression: cancel then re-arm of the same id while OTHER timers stay
-// live, so the empty-wheel purge never runs. arm() used to leave the id in
-// the cancelled set; advance()'s dead-on-sight check then consumed the
-// cancellation against the NEW entry and the re-armed timer never fired
-// (and the stale entry could fire on a later lap instead). arm() now
-// consumes the cancellation and drops the stale entry eagerly.
-TEST(TimerWheel, ReArmAfterCancelFiresExactlyOnce) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 16);
-  wheel.arm(9, t0 + 10s);  // keeps the wheel non-empty: no purge below
-  wheel.arm(1, t0 + 300us);
-  wheel.cancel(1);
-  wheel.arm(1, t0 + 500us);  // re-arm the same id before any advance
-  EXPECT_EQ(wheel.armed(), 2u);
-  EXPECT_EQ(wheel.next_deadline(), t0 + 500us);
-  // The cancelled incarnation's deadline must not fire...
-  EXPECT_TRUE(wheel.advance(t0 + 400us).empty());
-  // ...and the re-armed one fires exactly once, on its own deadline.
-  auto fired = wheel.advance(t0 + 1ms);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 1u);
-  EXPECT_TRUE(wheel.advance(t0 + 5ms).empty());
-  fired = wheel.advance(t0 + 10s);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 9u);
-  EXPECT_TRUE(wheel.empty());
-}
-
-// Same regression, with the stale and fresh entries hashing to the same
-// slot (identical deadline): the eager removal must strip exactly the stale
-// entry, not the one just armed.
-TEST(TimerWheel, ReArmSameDeadlineSameSlot) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 16);
-  wheel.arm(9, t0 + 10s);
-  wheel.arm(1, t0 + 300us);
-  wheel.cancel(1);
-  wheel.arm(1, t0 + 300us);
-  EXPECT_EQ(wheel.armed(), 2u);
-  auto fired = wheel.advance(t0 + 1ms);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 1u);
-  EXPECT_EQ(wheel.armed(), 1u);
-}
-
-TEST(TimerWheel, SameGranuleDeadlineWaitsForItsMoment) {
-  using runtime::TimerWheel;
-  const auto t0 = TimerWheel::Clock::time_point{};
-  TimerWheel wheel(t0, 100us, 16);
-  wheel.arm(1, t0 + 150us);
-  // Advance into the deadline's granule but before the deadline itself.
-  EXPECT_TRUE(wheel.advance(t0 + 120us).empty());
-  // The cursor stayed on the granule: the entry fires once due.
-  auto fired = wheel.advance(t0 + 150us);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 1u);
 }
 
 }  // namespace

@@ -255,7 +255,9 @@ TEST(EigJacobi, TraceAndOffdiagonalConvergence) {
     for (int i = 0; i < n; ++i) {
       trace += orig.at(k, i, i);
       ev_sum += ev.at(k, i, 0);
-      if (i > 0) EXPECT_LE(ev.at(k, i - 1, 0), ev.at(k, i, 0) + 1e-5f);
+      if (i > 0) {
+        EXPECT_LE(ev.at(k, i - 1, 0), ev.at(k, i, 0) + 1e-5f);
+      }
     }
     EXPECT_NEAR(ev_sum, trace, 1e-3f) << "problem " << k;
   }
