@@ -17,11 +17,14 @@ cmake --build --preset tsan -j "$(nproc)" --target regla_tests
 # makes lock-order reports actionable.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 
-# Planner*/Solver* plan through a planner whose labelled gauges every worker
-# stream of a runtime writes; RuntimeQueue.* drive the runtime through the
-# solve_override hook (pure queueing and the dispatcher's deadline scan, no
-# kernels); RuntimeSolve.* add real kernel launches; Engine*
-# and KernelGolden* run every kernel family on the host worker pool;
+# PlanCache*/Planner*/Solver* plan through a planner whose cache and labelled
+# gauges every worker stream of a runtime writes (Planner* includes the
+# planner-level LRU eviction test, Solver* the model's-first-candidate
+# dispatch check through private and shared planners); RuntimeQueue.* drive
+# the runtime through the solve_override hook (pure queueing and the
+# dispatcher's deadline scan, no kernels); RuntimeSolve.* add real kernel
+# launches; Engine* and KernelGolden* run every kernel family on the host
+# worker pool;
 # RuntimeFault*/EngineFault* exercise the fault-injection and resilience
 # paths (retry/backoff, deadline failure, shedding, CPU fallback — all of
 # which cross threads); Obs* cover the metric registry, the trace ring, and

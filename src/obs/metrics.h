@@ -3,7 +3,7 @@
 // counts, last-value gauges, and distributions:
 //
 //   obs::counter("engine.addr_truncations").add();
-//   obs::gauge("planner.model_error_mean", "planner=0").set(e);
+//   obs::gauge("planner.cache_hits", "planner=0").set(hits);
 //   obs::histogram("runtime.latency_us", "runtime=0").record(us);
 //
 // Instruments are created on first lookup and live for the process lifetime

@@ -33,14 +33,14 @@ struct PlanCacheStats {
 class PlanCache {
  public:
   /// The full cache key: what is being solved plus the device configuration
-  /// it was planned for (reconfiguring the device re-keys every plan).
+  /// it was planned for (devices with different configs never share a plan).
   struct Key {
     ProblemDesc desc;
     std::uint64_t fingerprint = 0;
     bool operator==(const Key&) const = default;
   };
 
-  explicit PlanCache(std::size_t capacity = 512);
+  explicit PlanCache(std::size_t capacity);
 
   /// The cached plan (marked from_cache) or nullopt; counts a hit or miss
   /// and refreshes the entry's LRU position.

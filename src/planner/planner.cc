@@ -85,7 +85,6 @@ std::optional<Plan> score_per_thread(const regla::simt::DeviceConfig& cfg,
   Plan p;
   p.approach = core::Approach::per_thread;
   p.threads = core::kPerThreadBlockSize;
-  p.fast_math = cfg.fast_math;
   p.predicted_cycles = seconds * cfg.clock_ghz * 1e9;
   p.predicted_gflops = flops * d.batch / seconds / 1e9;
   // One problem per thread: the wave quantum is the resident thread count.
@@ -147,7 +146,6 @@ std::optional<Plan> score_per_block(const regla::simt::DeviceConfig& cfg,
   Plan p;
   p.approach = core::Approach::per_block;
   p.threads = threads;
-  p.fast_math = cfg.fast_math;
   p.concurrent = concurrent;
   p.predicted_cycles = batch_cycles(cycles_block, d.batch, concurrent);
   p.predicted_gflops =
@@ -198,7 +196,6 @@ std::optional<Plan> score_tiled(const regla::simt::DeviceConfig& cfg,
   Plan p;
   p.approach = core::Approach::tiled;
   p.threads = threads;
-  p.fast_math = cfg.fast_math;
   p.concurrent = std::max(1, min_concurrent);
   p.predicted_cycles = cycles;
   p.predicted_gflops = op_flops * d.batch / cycles * cfg.clock_ghz;
@@ -260,16 +257,12 @@ namespace {
 std::atomic<int> g_next_planner{0};
 }  // namespace
 
-Planner::Planner(Options opt)
-    : opt_(opt),
-      labels_("planner=" + std::to_string(g_next_planner++)),
+Planner::Planner()
+    : labels_("planner=" + std::to_string(g_next_planner++)),
       cache_hits_(obs::gauge("planner.cache_hits", labels_)),
       cache_misses_(obs::gauge("planner.cache_misses", labels_)),
       plans_built_(obs::gauge("planner.plans_built", labels_)),
-      autotune_runs_(obs::gauge("planner.autotune_runs", labels_)),
-      model_error_mean_(obs::gauge("planner.model_error_mean", labels_)),
-      model_error_last_(obs::gauge("planner.model_error_last", labels_)),
-      cache_(opt.cache_capacity) {}
+      cache_(kPlanCacheCapacity) {}
 
 std::uint64_t Planner::config_fingerprint(const regla::simt::DeviceConfig& cfg) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a
@@ -309,73 +302,10 @@ std::vector<Plan> Planner::candidates(const regla::simt::DeviceConfig& cfg,
                                       const ProblemDesc& desc) const {
   std::vector<Plan> out;
   enumerate(cfg, desc, out);
-  if (opt_.explore_fast_math) {
-    regla::simt::DeviceConfig flipped = cfg;
-    flipped.fast_math = !flipped.fast_math;
-    std::vector<Plan> alt;
-    enumerate(flipped, desc, alt);
-    out.insert(out.end(), alt.begin(), alt.end());
-  }
   std::stable_sort(out.begin(), out.end(), [](const Plan& a, const Plan& b) {
     return a.predicted_cycles < b.predicted_cycles;
   });
   return out;
-}
-
-Plan Planner::build_plan(const regla::simt::DeviceConfig& cfg,
-                         const ProblemDesc& desc) {
-  std::vector<Plan> cands = candidates(cfg, desc);
-  REGLA_CHECK_MSG(!cands.empty(),
-                  "no kernel can run " << to_string(desc.op) << " "
-                                       << to_string(desc.dtype) << " " << desc.m
-                                       << "x" << desc.n
-                                       << " (problems past one thread block "
-                                          "support only QR/least-squares)");
-  Plan best = cands.front();
-
-  MeasureFn measure;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    measure = measure_;
-  }
-  if (opt_.autotune && measure) {
-    obs::Span span("planner.autotune", "planner");
-    ProblemDesc sample = desc;
-    sample.batch = std::min(desc.batch, opt_.autotune_sample_batch);
-    const int k =
-        std::min<int>(opt_.autotune_top_k, static_cast<int>(cands.size()));
-    double best_measured = -1;
-    int runs = 0;
-    for (int i = 0; i < k; ++i) {
-      const double measured = measure(sample, cands[i]);
-      if (measured < 0) continue;
-      ++runs;
-      // The model's estimate for the same reduced sample, for the error stat.
-      std::vector<Plan> sample_cands = candidates(cfg, sample);
-      double predicted_sample = 0;
-      for (const Plan& sc : sample_cands)
-        if (sc.approach == cands[i].approach && sc.threads == cands[i].threads &&
-            sc.fast_math == cands[i].fast_math)
-          predicted_sample = sc.predicted_cycles;
-      if (best_measured < 0 || measured < best_measured) {
-        best_measured = measured;
-        best = cands[i];
-        best.measured_cycles = measured;
-        best.predicted_sample_cycles = predicted_sample;
-        best.model_rel_error =
-            measured > 0 ? std::abs(predicted_sample - measured) / measured : 0;
-        best.autotuned = true;
-      }
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.autotune_runs += runs;
-    if (best.autotuned) {
-      stats_.model_error_sum += best.model_rel_error;
-      ++stats_.model_error_count;
-      model_error_last_.set(best.model_rel_error);
-    }
-  }
-  return best;
 }
 
 Plan Planner::plan(const regla::simt::DeviceConfig& cfg,
@@ -385,45 +315,29 @@ Plan Planner::plan(const regla::simt::DeviceConfig& cfg,
     publish_gauges();
     return *hit;
   }
-  // Build outside any lock: autotune runs real (simulated) launches. Two
-  // threads racing on the same fresh signature both build; plans are
+  // Two threads racing on the same fresh signature both build; plans are
   // deterministic functions of (cfg, desc), so whichever insert lands last
   // overwrites with an identical value.
   obs::Span span("planner.plan", "planner");
-  Plan built = build_plan(cfg, desc);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.plans_built;
-  }
-  cache_.insert(key, built);
+  const std::vector<Plan> cands = candidates(cfg, desc);
+  REGLA_CHECK_MSG(!cands.empty(),
+                  "no kernel can run " << to_string(desc.op) << " "
+                                       << to_string(desc.dtype) << " " << desc.m
+                                       << "x" << desc.n
+                                       << " (problems past one thread block "
+                                          "support only QR/least-squares)");
+  cache_.insert(key, cands.front());
   publish_gauges();
-  return built;
-}
-
-void Planner::set_measure_fn(MeasureFn fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  measure_ = std::move(fn);
+  return cands.front();
 }
 
 PlannerStats Planner::stats() const {
-  PlannerStats s;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    s = stats_;
-  }
   const PlanCacheStats c = cache_.stats();
-  s.cache_hits = c.hits;
-  s.cache_misses = c.misses;
-  s.evictions = c.evictions;
-  return s;
+  return PlannerStats{c.hits, c.misses, c.inserts, c.evictions};
 }
 
 void Planner::clear() {
   cache_.clear();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_ = PlannerStats{};
-  }
   publish_gauges();
 }
 
@@ -432,8 +346,6 @@ void Planner::publish_gauges() const {
   cache_hits_.set(static_cast<double>(s.cache_hits));
   cache_misses_.set(static_cast<double>(s.cache_misses));
   plans_built_.set(static_cast<double>(s.plans_built));
-  autotune_runs_.set(static_cast<double>(s.autotune_runs));
-  model_error_mean_.set(s.mean_model_error());
 }
 
 }  // namespace regla::planner

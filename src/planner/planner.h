@@ -2,11 +2,12 @@
 // promoted from validation artifact to the actual dispatcher).
 //
 // For a problem signature the planner enumerates every candidate mapping the
-// kernels admit — approach x threads-per-block x layout x fast-math — scores
-// each with the analytical models in src/model/, and returns the cheapest as
-// a Plan. Results are memoized in an LRU cache keyed by (signature, device
-// fingerprint), so repeated solves of the same shape skip enumeration and
-// scoring entirely and dispatch in O(1).
+// kernels admit — approach x threads-per-block x layout, under the device
+// config's own fast_math — scores each with the analytical models in
+// src/model/, and returns the cheapest as the Plan. Results are memoized in
+// an LRU cache keyed by (signature, device fingerprint), so repeated solves
+// of the same shape skip enumeration and scoring entirely and dispatch in
+// O(1).
 //
 // Scoring = the paper's models plus one planner-level extension: a register
 // SPILL term. The paper's Eq. 1 and Table VI models deliberately ignore
@@ -18,15 +19,13 @@
 // reproduces the paper's dispatch policy: per-thread for tiny problems, the
 // 64 -> 256 thread switch at n = 80 (Fig. 9), tiled beyond one block.
 //
-// Optional autotune mode runs the top-k model candidates on the simulated
-// device once per signature, keeps the measured winner, and publishes the
-// model-vs-measured cycle error as the planner.model_error_* gauges — the
-// paper's predicted-vs-measured validation (Tables IV/V), live in production.
+// The model's pick is the plan: there is no empirical search. How far the
+// model sits from the simulator is measured outside the planner, against
+// the launches the plans produce, never by trial runs inside it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -37,52 +36,30 @@
 
 namespace regla::planner {
 
-/// Cumulative planner health counters (also published as "planner.*" obs
-/// gauges under the planner's own label, Planner::metric_labels()).
+/// Cumulative planner health counters: a read of the plan cache's own
+/// counters (also published as "planner.*" obs gauges under the planner's
+/// own label, Planner::metric_labels()).
 struct PlannerStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t plans_built = 0;     ///< candidate enumerations performed
-  std::uint64_t autotune_runs = 0;   ///< candidates actually measured
+  std::uint64_t plans_built = 0;  ///< candidate enumerations (cache inserts)
   std::uint64_t evictions = 0;
-  double model_error_sum = 0;        ///< sum of per-plan relative errors
-  std::uint64_t model_error_count = 0;
 
   double hit_rate() const {
     const double total = static_cast<double>(cache_hits + cache_misses);
     return total > 0 ? cache_hits / total : 0;
   }
-  double mean_model_error() const {
-    return model_error_count > 0 ? model_error_sum / model_error_count : 0;
-  }
 };
 
-struct PlannerOptions {
-  std::size_t cache_capacity = 512;  ///< LRU entries before eviction
-  bool autotune = false;             ///< measure top-k candidates once
-  int autotune_top_k = 3;
-  /// Problems per measured sample launch (enough for full chip residency).
-  int autotune_sample_batch = 112;
-  /// Also enumerate candidates with fast_math flipped from the config's
-  /// setting (changes numerics — opt-in).
-  bool explore_fast_math = false;
-};
+/// LRU entries a planner's cache holds before it evicts.
+inline constexpr std::size_t kPlanCacheCapacity = 512;
 
 class Planner {
  public:
-  using Options = PlannerOptions;
-
-  /// Measured chip cycles for running `candidate` on `sample` (a reduced-
-  /// batch copy of the original signature), or < 0 if the candidate cannot
-  /// be measured. Supplied by the execution layer (regla::Solver) so the
-  /// planner itself stays free of kernel dependencies.
-  using MeasureFn = std::function<double(const ProblemDesc& sample,
-                                         const Plan& candidate)>;
-
-  explicit Planner(Options opt = {});
+  Planner();
 
   /// The plan for this signature on this device: cached if seen before,
-  /// otherwise enumerated, scored, optionally autotuned, and inserted.
+  /// otherwise candidates(cfg, desc).front(), inserted.
   /// Thread-safe (the cache is a PlanCache; two threads missing the same
   /// signature at once both build it and the later insert wins — plans for a
   /// signature are deterministic, so the duplicate work is harmless).
@@ -93,46 +70,33 @@ class Planner {
   std::vector<Plan> candidates(const regla::simt::DeviceConfig& cfg,
                                const ProblemDesc& desc) const;
 
-  void set_measure_fn(MeasureFn fn);
-
   PlannerStats stats() const;
   void clear();  ///< drop the cache and reset counters
 
   /// The label ("planner=<k>", k = process-wide construction ordinal) on this
-  /// planner's obs gauges: planner.cache_hits, .cache_misses, .plans_built,
-  /// .autotune_runs, .model_error_mean and .model_error_last.
+  /// planner's obs gauges: planner.cache_hits, .cache_misses and
+  /// .plans_built.
   const std::string& metric_labels() const { return labels_; }
-
-  Options options() const { return opt_; }
 
   /// The underlying memo (thread-safe; shared by every caller of plan()).
   PlanCache& cache() { return cache_; }
   const PlanCache& cache() const { return cache_; }
 
   /// Hash of every DeviceConfig field the plans depend on; part of the cache
-  /// key, so reconfiguring the device invalidates (by never matching) all
-  /// plans made for the old configuration.
+  /// key, so a plan made for one device configuration never matches a device
+  /// with another (e.g. one that differs only in fast_math).
   static std::uint64_t config_fingerprint(const regla::simt::DeviceConfig& cfg);
 
  private:
-  Plan build_plan(const regla::simt::DeviceConfig& cfg,
-                  const ProblemDesc& desc);
-  void publish_gauges() const;  // takes its own snapshots; call without mutex_
+  void publish_gauges() const;
 
-  Options opt_;
   std::string labels_;
   /// The obs gauges behind metric_labels(), resolved once at construction.
   obs::Gauge& cache_hits_;
   obs::Gauge& cache_misses_;
   obs::Gauge& plans_built_;
-  obs::Gauge& autotune_runs_;
-  obs::Gauge& model_error_mean_;
-  obs::Gauge& model_error_last_;
-  MeasureFn measure_;
 
   PlanCache cache_;
-  mutable std::mutex mutex_;  ///< guards measure_ and stats_
-  PlannerStats stats_;        ///< the non-cache counters (built/autotune/error)
 };
 
 }  // namespace regla::planner

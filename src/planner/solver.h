@@ -6,21 +6,19 @@
 //   report.gflops(); report.plan.approach; report.cache_hit;
 //
 // A Solver owns a model-guided Planner and its plan cache: the first solve
-// of a shape enumerates and scores candidate mappings (optionally autotuning
-// the top few on the device), every repeat is an O(1) cache hit straight to
-// dispatch. Execution goes through the op registry (ops/registry.h): the
-// Solver plans, the registry's (op, dtype, backend) entry runs the kernels.
+// of a shape enumerates and scores candidate mappings and dispatches the
+// model's cheapest, every repeat is an O(1) cache hit straight to dispatch.
+// Execution goes through the op registry (ops/registry.h): the Solver
+// plans, the registry's (op, dtype, backend) entry runs the kernels.
 // The typed methods below (qr/lu/solve/...) are one-line conveniences over
 // the generic run(); any registered op — including ones added after this
 // header was written — is reachable via run(op, call).
 //
-// Two options structs, two scopes:
-//   - regla::SolverConfig — constructor-level: how THIS Solver plans
-//     (planner options, autotune, whether a plan's fast_math choice is
-//     applied to the device). Fixed for the Solver's lifetime.
-//   - regla::SolveOptions (= core::SolveOptions) — request-level: per-call
-//     knobs (solve method, per-block thread override, register layout),
-//     carried to the kernels inside ops::Call.
+// A Solver has no construction-time knobs: the device's config (fast_math
+// included) is fixed when the Device is built, and the plan follows it.
+// Per-call knobs are regla::SolveOptions (= core::SolveOptions: solve
+// method, per-block thread override, register layout), carried to the
+// kernels inside ops::Call.
 #pragma once
 
 #include <memory>
@@ -36,33 +34,19 @@ namespace regla {
 /// core/batched.h for the fields: method, threads, layout).
 using SolveOptions = core::SolveOptions;
 
-/// Constructor-level configuration: how a Solver plans. (Per-call knobs are
-/// SolveOptions, passed to each solve instead.)
-struct SolverConfig {
-  planner::Planner::Options planner;
-  /// Apply a plan's fast_math choice to the device for the launch (only
-  /// differs from the config when planner.explore_fast_math is on).
-  bool apply_plan_fast_math = true;
-};
-
 /// The planner-backed facade over the op registry. Holds a reference to the
 /// Device; one Solver per Device (or several — plans are keyed by device
-/// configuration, so sharing is safe but caches are per-Solver).
+/// configuration, so sharing is safe; the cache is the planner's, private to
+/// a Solver(dev) and common to Solvers built on one shared planner).
 class Solver {
  public:
-  using Options = SolverConfig;
-
-  explicit Solver(simt::Device& dev, Options opt = {});
+  explicit Solver(simt::Device& dev);
 
   /// Share a planner (and its thread-safe plan cache) with other Solvers:
   /// the serving runtime gives every worker stream its own Device + Solver
   /// but one planner, so a signature planned on any stream is a cache hit on
-  /// all of them. `opt.planner` is ignored in this form — the shared
-  /// planner's own options govern. Autotune on a shared planner is
-  /// unsupported (the measure callback would race across devices), so this
-  /// form never installs one.
-  Solver(simt::Device& dev, std::shared_ptr<planner::Planner> shared,
-         Options opt = {});
+  /// all of them.
+  Solver(simt::Device& dev, std::shared_ptr<planner::Planner> shared);
 
   /// The generic entry point every typed method funnels into: validate the
   /// call against the op's traits, plan (cached), dispatch to the registered
@@ -103,11 +87,7 @@ class Solver {
   simt::Device& device() { return dev_; }
 
  private:
-  /// Measured chip cycles of one candidate on synthetic data (autotune).
-  double measure(const planner::ProblemDesc& sample, const planner::Plan& cand);
-
   simt::Device& dev_;
-  Options opt_;
   std::shared_ptr<planner::Planner> planner_;
 };
 

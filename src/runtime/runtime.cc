@@ -75,13 +75,10 @@ std::size_t SignatureHash::operator()(const Signature& s) const {
 Runtime::Runtime(Options opt)
     : opt_(std::move(opt)),
       metrics_(new Metrics{"runtime=" + std::to_string(g_next_runtime++)}) {
-  REGLA_CHECK_MSG(!opt_.planner.autotune,
-                  "runtime streams share one planner; autotune measurement "
-                  "would race across their devices — plan without it");
   REGLA_CHECK(opt_.max_flush_problems > 0 && opt_.max_queue_problems > 0);
   opt_.workers = std::max(1, opt_.workers);
   opt_.target_waves = std::max(1, opt_.target_waves);
-  planner_ = std::make_shared<planner::Planner>(opt_.planner);
+  planner_ = std::make_shared<planner::Planner>();
   arena_ = std::make_unique<Arena>();
 
   fleet::FleetOptions fopt = opt_;

@@ -134,6 +134,10 @@ struct SubmitOptions {
   /// Enforced end to end: a request past its deadline resolves with
   /// DeadlineExceeded — in the queue, before execution, or at delivery —
   /// never with a silently late Report.
+  /// Limit: a deadline shorter than RuntimeOptions::max_batch_delay becomes
+  /// the queue's flush time, so the queue is deadline-flushed exactly at the
+  /// deadline and the request resolves DeadlineExceeded unless a size flush
+  /// takes it first. No flush margin is kept ahead of the deadline.
   std::chrono::microseconds deadline{0};
 };
 
@@ -165,9 +169,6 @@ struct RuntimeOptions : fleet::FleetOptions {
   /// Device configuration of the legacy single-device shape only (a
   /// `devices` entry carries its own DeviceSpec::config).
   simt::DeviceConfig device = simt::DeviceConfig::quadro6000();
-  /// Options for the shared planner. Autotune must stay off (measuring
-  /// through a shared planner would race across worker devices).
-  planner::PlannerOptions planner;
   /// Test/instrumentation hook: when set, replaces the Solver call for f32
   /// batches. Receives the assembled device batch; may throw (fault
   /// injection) — the runtime's isolation retry then re-runs per request.

@@ -87,8 +87,9 @@ class Device {
   Device(Device&&) noexcept;
   Device& operator=(Device&&) noexcept;
 
+  /// Fixed at construction: plans, the plan-cache key and the replay salt
+  /// all hash this config, so it never changes under a Device.
   const DeviceConfig& config() const { return cfg_; }
-  DeviceConfig& mutable_config() { return cfg_; }
 
   /// Run `body` once for every block; returns full timing and
   /// instrumentation. Functionally exact: all side effects on host memory

@@ -305,7 +305,7 @@ TEST(RuntimeArena, FailedBatchWithoutResilienceReRunsRidersFromPristineBuffers) 
 
 // A solo retry on the isolation path must restore the pristine epoch into
 // the client's leased block without detaching it: results still ride the
-// same block back (the zero-copy contract), even after a restore.
+// same block back, even after a restore.
 TEST(RuntimeArena, SoloRetryRestorePreservesLeasedBlock) {
   ProbeSolver probe;
   probe.failures = 3;  // batch attempt + its retry, then the solo attempt

@@ -3,9 +3,12 @@
 // the regla::Solver facade must produce correct numerics end to end.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/generators.h"
 #include "core/batched.h"
-#include "obs/metrics.h"
+#include "planner/op_traits.h"
 #include "planner/planner.h"
 #include "planner/solver.h"
 #include "test_util.h"
@@ -17,6 +20,7 @@ using core::Approach;
 using core::choose_approach;
 using planner::Dtype;
 using planner::Op;
+using planner::Plan;
 using planner::Planner;
 using planner::ProblemDesc;
 
@@ -137,15 +141,23 @@ TEST(PlanCache, DeviceReconfigurationInvalidates) {
   EXPECT_EQ(p.stats().plans_built, 2u);
 }
 
-TEST(PlanCache, EvictsLeastRecentlyUsed) {
-  Planner p(Planner::Options{.cache_capacity = 2});
+// kPlanCacheCapacity + 1 distinct signatures (batch sizes 1..capacity+1)
+// through a default planner: the first is evicted, and planning it again is
+// a miss that rebuilds it.
+TEST(Planner, EvictsLeastRecentlyUsedThenReplans) {
+  Planner p;
   const auto cfg = quadro();
-  (void)p.plan(cfg, ProblemDesc{Op::qr, 8, 8, 10, Dtype::f32});
-  (void)p.plan(cfg, ProblemDesc{Op::qr, 9, 9, 10, Dtype::f32});
-  (void)p.plan(cfg, ProblemDesc{Op::qr, 10, 10, 10, Dtype::f32});  // evicts 8
+  const int distinct = static_cast<int>(planner::kPlanCacheCapacity) + 1;
+  for (int batch = 1; batch <= distinct; ++batch)
+    (void)p.plan(cfg, ProblemDesc{Op::qr, 8, 8, batch, Dtype::f32});
   EXPECT_EQ(p.stats().evictions, 1u);
-  const auto re8 = p.plan(cfg, ProblemDesc{Op::qr, 8, 8, 10, Dtype::f32});
-  EXPECT_FALSE(re8.from_cache);
+  EXPECT_EQ(p.cache().size(), planner::kPlanCacheCapacity);
+  const auto re1 = p.plan(cfg, ProblemDesc{Op::qr, 8, 8, 1, Dtype::f32});
+  EXPECT_FALSE(re1.from_cache);
+  EXPECT_EQ(p.stats().plans_built, static_cast<std::uint64_t>(distinct) + 1);
+  // The most recent signature survived both evictions.
+  EXPECT_TRUE(
+      p.plan(cfg, ProblemDesc{Op::qr, 8, 8, distinct, Dtype::f32}).from_cache);
 }
 
 TEST(Planner, EveryCandidateIsScoredAndSorted) {
@@ -203,26 +215,66 @@ TEST(Solver, SolveMethodsBothSolve) {
   EXPECT_LT(testing::worst_solve_residual(a0, b2, b0), 2e-4f);
 }
 
-TEST(Solver, AutotuneRecordsModelError) {
-  simt::Device dev;
-  Solver::Options opt;
-  opt.planner.autotune = true;
-  opt.planner.autotune_top_k = 2;
-  opt.planner.autotune_sample_batch = 32;
-  Solver solver(dev, opt);
+// The model's pick is the plan: for every op, at a per-thread, a per-block
+// and (qr/least-squares) a tiled shape, with fast_math on and off, a solve
+// dispatches exactly the model's cheapest candidate, through a private
+// planner and through a shared one.
+TEST(Solver, DispatchesTheModelsFirstCandidate) {
+  struct Shape {
+    Op op;
+    int m, n;
+    Approach approach;  ///< where the shape lands, so each tier is covered
+  };
+  std::vector<Shape> shapes;
+  for (Op op : {Op::qr, Op::lu, Op::solve_qr, Op::solve_gj,
+                Op::least_squares, Op::cholesky, Op::trsm}) {
+    const bool tall = op == Op::least_squares;
+    // Ops without a per-thread kernel plan their small shape per-block.
+    shapes.push_back({op, tall ? 12 : 8, 8,
+                      planner::op_traits(op).has_per_thread
+                          ? Approach::per_thread
+                          : Approach::per_block});
+    shapes.push_back({op, tall ? 40 : 32, 32, Approach::per_block});
+  }
+  shapes.push_back({Op::qr, 128, 128, Approach::tiled});
+  shapes.push_back({Op::least_squares, 256, 64, Approach::tiled});
+  constexpr int kBatch = 4;
 
-  BatchF batch(64, 40, 40);
-  fill_uniform(batch, 41);
-  const auto rep = solver.qr(batch);
-  EXPECT_TRUE(rep.plan.autotuned);
-  EXPECT_GT(rep.plan.measured_cycles, 0);
-  EXPECT_GE(rep.plan.model_rel_error, 0);
-  const auto s = solver.planner().stats();
-  EXPECT_GE(s.autotune_runs, 2u);
-  EXPECT_EQ(s.model_error_count, 1u);
-  EXPECT_EQ(obs::gauge_value("planner.model_error_last",
-                             solver.planner().metric_labels()),
-            rep.plan.model_rel_error);
+  for (const bool fast : {true, false}) {
+    simt::DeviceConfig cfg = quadro();
+    cfg.fast_math = fast;
+    simt::Device dev(cfg);
+    Solver own(dev);
+    Solver shared(dev, std::make_shared<Planner>());
+    for (const Shape& sh : shapes) {
+      const auto& traits = planner::op_traits(sh.op);
+      SCOPED_TRACE(::testing::Message()
+                   << planner::to_string(sh.op) << " " << sh.m << "x" << sh.n
+                   << " fast_math=" << fast);
+      const Plan expect = Planner().candidates(
+          cfg, ProblemDesc{sh.op, sh.m, sh.n, kBatch, Dtype::f32}).front();
+      ASSERT_EQ(expect.approach, sh.approach);
+      for (Solver* solver : {&own, &shared}) {
+        BatchF a(kBatch, sh.m, sh.n), b;
+        if (traits.fill == planner::FillKind::spd) fill_spd(a, 51);
+        else fill_diag_dominant(a, 51);
+        ops::Call call;
+        call.a = &a;
+        if (traits.rhs != planner::RhsShape::none) {
+          b = BatchF(kBatch, traits.rhs == planner::RhsShape::m_by_1 ? sh.m
+                                                                      : sh.n,
+                     1);
+          fill_uniform(b, 52);
+          call.b = &b;
+        }
+        const Plan got = solver->run(sh.op, call).plan;
+        EXPECT_EQ(got.approach, expect.approach);
+        EXPECT_EQ(got.threads, expect.threads);
+        EXPECT_EQ(got.layout, expect.layout);
+        EXPECT_EQ(got.predicted_cycles, expect.predicted_cycles);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // through real kernels.
 //
 // RuntimeQueue.* tests exercise the queueing machinery through the
-// solve_override hook (no fibers, TSan-friendly); RuntimeSolve.* run the real
+// solve_override hook (no kernels, TSan-friendly); RuntimeSolve.* run the real
 // simulated kernels.
 #include <gtest/gtest.h>
 
@@ -306,14 +306,6 @@ TEST(RuntimeQueue, UnsupportedSignatureFailsCleanlyAndRepeatedly) {
   EXPECT_FLOAT_EQ(ok.get().a.at(0, 0, 0), 2.0f);
   rt.shutdown();
   EXPECT_EQ(rt.stats().requests, 1u);  // the rejected submissions never count
-}
-
-// The autotune knob is incompatible with the shared planner and must be
-// rejected at construction, not discovered as a race later.
-TEST(RuntimeQueue, RejectsAutotune) {
-  RuntimeOptions opt;
-  opt.planner.autotune = true;
-  EXPECT_THROW(Runtime rt(opt), regla::Error);
 }
 
 // Stats plumbing: the runtime's labelled latency histogram covers every
