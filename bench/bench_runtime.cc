@@ -411,10 +411,10 @@ int alloc_audit(bool smoke) {
       "(obs runtime.payload_allocs=%llu runtime.payload_reuses=%llu "
       "runtime.payload_bytes_copied=%llu)\n",
       allocs_per_request, int(steady_requests),
-      static_cast<unsigned long long>(
-          regla::obs::counter_value("runtime.payload_allocs")),
-      static_cast<unsigned long long>(
-          regla::obs::counter_value("runtime.payload_reuses")),
+      static_cast<unsigned long long>(regla::obs::counter_value(
+          "runtime.payload_allocs", rt.metric_labels())),
+      static_cast<unsigned long long>(regla::obs::counter_value(
+          "runtime.payload_reuses", rt.metric_labels())),
       static_cast<unsigned long long>(regla::obs::counter_value(
           "runtime.payload_bytes_copied", rt.metric_labels())));
   return allocs_per_request <= 0.05 ? 0 : 1;

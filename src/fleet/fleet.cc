@@ -8,19 +8,28 @@
 #include "obs/trace.h"
 
 namespace regla::fleet {
-namespace {
-
-std::string device_labels(const std::string& name) {
-  return "device=" + name;
-}
-
-}  // namespace
 
 /// One fleet member: a named device with its stream pool, lifecycle state,
-/// and circuit breaker. All fields except `killed` are guarded by the fleet
-/// mutex; `killed` is atomic so leased executors can poll it lock-free
-/// mid-solve.
+/// circuit breaker, and the obs instruments that are its only store of
+/// counts. All plain fields are guarded by the fleet mutex; `killed` is
+/// atomic so leased executors can poll it lock-free mid-solve.
 struct Fleet::Member {
+  /// fleet=<k>,device=<name>; every instrument below is resolved once, when
+  /// add_device builds the member.
+  std::string labels;
+  obs::Counter& batches = obs::counter("fleet.batches", labels);
+  obs::Counter& problems = obs::counter("fleet.problems", labels);
+  obs::Counter& reroutes_away = obs::counter("fleet.reroutes", labels);
+  obs::Counter& circuit_opens = obs::counter("fleet.circuit_opens", labels);
+  obs::Gauge& device_seconds = obs::gauge("fleet.device_seconds", labels);
+  obs::Gauge& device_pps = obs::gauge("fleet.device_pps", labels);
+  obs::Gauge& state_gauge = obs::gauge("fleet.state", labels);
+  obs::Gauge& inflight_gauge = obs::gauge("fleet.inflight", labels);
+  obs::Gauge& queue_depth_gauge = obs::gauge("fleet.queue_depth", labels);
+  obs::Gauge& circuit_open_gauge = obs::gauge("fleet.circuit_open", labels);
+  obs::Gauge& killed_gauge = obs::gauge("fleet.killed", labels);
+  obs::Gauge& streams_gauge = obs::gauge("fleet.streams", labels);
+
   int id = -1;
   std::string name;
   simt::DeviceConfig config;
@@ -30,7 +39,6 @@ struct Fleet::Member {
 
   std::vector<std::unique_ptr<Stream>> streams;
   std::vector<Stream*> free_streams;
-  int inflight = 0;
   std::uint64_t last_routed = 0;
 
   // Circuit breaker: consecutive exhausted-retry episodes and, once tripped,
@@ -38,16 +46,30 @@ struct Fleet::Member {
   int consecutive_exhausted = 0;
   Clock::time_point broken_until{};
 
-  std::uint64_t batches = 0;
-  std::uint64_t problems = 0;
-  std::uint64_t reroutes_away = 0;
-  std::uint64_t circuit_opens = 0;
-  double device_seconds = 0;
-
   bool circuit_open(Clock::time_point now) const {
     return broken_until > now;
   }
+
+  /// Leased streams: the router's queue-depth numerator.
+  int inflight() const {
+    return static_cast<int>(streams.size() - free_streams.size());
+  }
+
+  double load() const {
+    return static_cast<double>(inflight()) /
+           static_cast<double>(std::max<std::size_t>(1, streams.size()));
+  }
+
+  void set_load_gauges() {
+    inflight_gauge.set(inflight());
+    queue_depth_gauge.set(load());
+  }
 };
+
+namespace {
+/// Process-wide Fleet construction ordinal (the k of fleet=<k>).
+std::atomic<int> g_next_fleet{0};
+}  // namespace
 
 // --- Lease ----------------------------------------------------------------
 
@@ -85,7 +107,12 @@ void Lease::release() {
 Fleet::Fleet(Options opt, std::shared_ptr<planner::Planner> planner)
     : opt_(std::move(opt)),
       planner_(planner ? std::move(planner)
-                       : std::make_shared<planner::Planner>()) {
+                       : std::make_shared<planner::Planner>()),
+      labels_("fleet=" + std::to_string(g_next_fleet++)),
+      routed_(obs::counter("fleet.routed", labels_)),
+      no_device_(obs::counter("fleet.no_device", labels_)),
+      devices_gauge_(obs::gauge("fleet.devices", labels_)),
+      streams_gauge_(obs::gauge("fleet.streams", labels_)) {
   REGLA_CHECK_MSG(!opt_.devices.empty(), "Fleet needs at least one device");
   int initial_streams = 0;
   for (const DeviceSpec& s : opt_.devices)
@@ -118,8 +145,7 @@ std::optional<Lease> Fleet::try_route(const planner::ProblemDesc& desc,
     if (m.free_streams.empty()) continue;
     RouteCandidate c;
     c.device = m.id;
-    c.load = static_cast<double>(m.inflight) /
-             std::max<std::size_t>(1, m.streams.size());
+    c.load = m.load();
     c.warm = planner_->cache().warm(desc, m.fingerprint);
     c.circuit_open = m.circuit_open(now);
     c.last_routed = m.last_routed;
@@ -137,14 +163,9 @@ std::optional<Lease> Fleet::try_route(const planner::ProblemDesc& desc,
   lease.name_ = m.name;
   lease.circuit_open_ = candidates[idx].circuit_open;
   lease.killed_flag_ = &m.killed;
-  ++m.inflight;
   m.last_routed = ++route_stamp_;
-  ++stats_.routed;
-  obs::gauge("fleet.inflight", device_labels(m.name))
-      .set(static_cast<double>(m.inflight));
-  obs::gauge("fleet.queue_depth", device_labels(m.name))
-      .set(static_cast<double>(m.inflight) /
-           std::max<std::size_t>(1, m.streams.size()));
+  routed_.add();
+  m.set_load_gauges();
   return lease;
 }
 
@@ -157,8 +178,7 @@ std::optional<Lease> Fleet::acquire(const planner::ProblemDesc& desc,
     auto lease = try_route(desc, exclude, &any_eligible);
     if (lease) return lease;
     if (!any_eligible) {
-      ++stats_.no_device;
-      obs::counter("fleet.no_device").add();
+      no_device_.add();
       return std::nullopt;
     }
     // Every eligible device is busy; wait for a stream to free up or for
@@ -172,12 +192,7 @@ void Fleet::release(Stream* stream, int device) {
     std::lock_guard<std::mutex> lock(mu_);
     Member& m = member_checked(device);
     m.free_streams.push_back(stream);
-    --m.inflight;
-    obs::gauge("fleet.inflight", device_labels(m.name))
-        .set(static_cast<double>(m.inflight));
-    obs::gauge("fleet.queue_depth", device_labels(m.name))
-        .set(static_cast<double>(m.inflight) /
-             std::max<std::size_t>(1, m.streams.size()));
+    m.set_load_gauges();
   }
   cv_.notify_all();
 }
@@ -189,18 +204,14 @@ void Fleet::record_success(const Lease& lease, int problems,
   m.consecutive_exhausted = 0;
   if (m.broken_until != Clock::time_point{}) {
     m.broken_until = {};  // a success closes the circuit
-    obs::gauge("fleet.circuit_open", device_labels(m.name)).set(0);
+    m.circuit_open_gauge.set(0);
   }
-  ++m.batches;
-  m.problems += static_cast<std::uint64_t>(problems);
-  m.device_seconds += device_seconds;
-  obs::counter("fleet.batches", device_labels(m.name)).add();
-  obs::counter("fleet.problems", device_labels(m.name))
-      .add(static_cast<std::uint64_t>(problems));
-  obs::gauge("fleet.device_pps", device_labels(m.name))
-      .set(m.device_seconds > 0
-               ? static_cast<double>(m.problems) / m.device_seconds
-               : 0);
+  m.batches.add();
+  m.problems.add(static_cast<std::uint64_t>(problems));
+  m.device_seconds.add(device_seconds);
+  const double busy = m.device_seconds.value();
+  m.device_pps.set(
+      busy > 0 ? static_cast<double>(m.problems.value()) / busy : 0);
 }
 
 bool Fleet::record_exhausted(const Lease& lease) {
@@ -211,10 +222,8 @@ bool Fleet::record_exhausted(const Lease& lease) {
       m.consecutive_exhausted >= opt_.circuit_break_after &&
       !m.circuit_open(Clock::now())) {
     m.broken_until = Clock::now() + opt_.circuit_cooldown;
-    ++m.circuit_opens;
-    ++stats_.circuit_opens;
-    obs::counter("fleet.circuit_opens", device_labels(m.name)).add();
-    obs::gauge("fleet.circuit_open", device_labels(m.name)).set(1);
+    m.circuit_opens.add();
+    m.circuit_open_gauge.set(1);
     return true;
   }
   return false;
@@ -222,10 +231,7 @@ bool Fleet::record_exhausted(const Lease& lease) {
 
 void Fleet::record_reroute_away(int device_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  Member& m = member_checked(device_id);
-  ++m.reroutes_away;
-  ++stats_.reroutes;
-  obs::counter("fleet.reroutes", device_labels(m.name)).add();
+  member_checked(device_id).reroutes_away.add();
 }
 
 int Fleet::add_device(DeviceSpec spec) {
@@ -242,17 +248,19 @@ int Fleet::add_device(DeviceSpec spec) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     id = static_cast<int>(members_.size());
-    auto m = std::make_unique<Member>();
+    std::string name =
+        spec.name.empty() ? "dev" + std::to_string(id) : std::move(spec.name);
+    auto m = std::make_unique<Member>(labels_ + ",device=" + name);
     m->id = id;
-    m->name = spec.name.empty() ? "dev" + std::to_string(id)
-                                : std::move(spec.name);
+    m->name = std::move(name);
     m->config = spec.config;
     m->fingerprint = planner::Planner::config_fingerprint(spec.config);
     m->streams = std::move(built);
     for (auto& s : m->streams) m->free_streams.push_back(s.get());
-    stamp_member_gauges(*m);
+    m->state_gauge.set(static_cast<double>(m->state));
+    m->streams_gauge.set(static_cast<double>(m->streams.size()));
     members_.push_back(std::move(m));
-    stamp_topology_gauges();
+    set_topology_gauges();
   }
   cv_.notify_all();
   return id;
@@ -264,8 +272,8 @@ void Fleet::drain(int id) {
     Member& m = member_checked(id);
     if (m.state == DeviceState::active) {
       m.state = DeviceState::draining;
-      stamp_member_gauges(m);
-      stamp_topology_gauges();
+      m.state_gauge.set(static_cast<double>(m.state));
+      set_topology_gauges();
     }
   }
   // Wake acquirers that were counting this device as eligible-but-busy: with
@@ -279,14 +287,15 @@ void Fleet::remove(int id) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     Member& m = member_checked(id);
-    cv_.wait(lock, [&m] { return m.inflight == 0; });
+    cv_.wait(lock, [&m] { return m.inflight() == 0; });
     if (m.state != DeviceState::removed) {
       m.state = DeviceState::removed;
       m.free_streams.clear();
       doomed = std::move(m.streams);  // destroyed below, outside the lock
       m.streams.clear();
-      stamp_member_gauges(m);
-      stamp_topology_gauges();
+      m.state_gauge.set(static_cast<double>(m.state));
+      m.streams_gauge.set(0);
+      set_topology_gauges();
     }
   }
   cv_.notify_all();
@@ -296,7 +305,7 @@ void Fleet::kill(int id) {
   std::lock_guard<std::mutex> lock(mu_);
   Member& m = member_checked(id);
   m.killed.store(true, std::memory_order_relaxed);
-  obs::gauge("fleet.killed", device_labels(m.name)).set(1);
+  m.killed_gauge.set(1);
 }
 
 int Fleet::size() const {
@@ -329,12 +338,12 @@ DeviceStats Fleet::stats_of(const Member& m) const {
   s.circuit_open = m.circuit_open(Clock::now());
   s.killed = m.killed.load(std::memory_order_relaxed);
   s.streams = static_cast<int>(m.streams.size());
-  s.inflight = m.inflight;
-  s.batches = m.batches;
-  s.problems = m.problems;
-  s.reroutes_away = m.reroutes_away;
-  s.circuit_opens = m.circuit_opens;
-  s.device_seconds = m.device_seconds;
+  s.inflight = m.inflight();
+  s.batches = m.batches.value();
+  s.problems = m.problems.value();
+  s.reroutes_away = m.reroutes_away.value();
+  s.circuit_opens = m.circuit_opens.value();
+  s.device_seconds = m.device_seconds.value();
   s.fingerprint = m.fingerprint;
   return s;
 }
@@ -353,8 +362,15 @@ std::vector<DeviceStats> Fleet::devices() const {
 }
 
 FleetStats Fleet::stats() const {
+  FleetStats s;
+  s.routed = routed_.value();
+  s.no_device = no_device_.value();
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  for (const auto& m : members_) {
+    s.reroutes += m->reroutes_away.value();
+    s.circuit_opens += m->circuit_opens.value();
+  }
+  return s;
 }
 
 simt::DeviceConfig Fleet::primary_config() const {
@@ -379,33 +395,15 @@ const Fleet::Member& Fleet::member_checked(int id) const {
   return *members_[static_cast<std::size_t>(id)];
 }
 
-void Fleet::stamp_member_gauges(const Member& m) const {
-  const std::string labels = device_labels(m.name);
-  obs::gauge("fleet.state", labels).set(static_cast<double>(m.state));
-  obs::gauge("fleet.circuit_open", labels)
-      .set(m.circuit_open(Clock::now()) ? 1 : 0);
-  obs::gauge("fleet.killed", labels)
-      .set(m.killed.load(std::memory_order_relaxed) ? 1 : 0);
-  obs::gauge("fleet.inflight", labels).set(static_cast<double>(m.inflight));
-  obs::gauge("fleet.streams", labels)
-      .set(static_cast<double>(m.streams.size()));
-}
-
-void Fleet::stamp_topology_gauges() const {
+void Fleet::set_topology_gauges() {
   int active = 0, streams = 0;
   for (const auto& m : members_) {
     if (m->state == DeviceState::active) ++active;
     if (m->state != DeviceState::removed)
       streams += static_cast<int>(m->streams.size());
   }
-  obs::gauge("fleet.devices").set(static_cast<double>(active));
-  obs::gauge("fleet.streams").set(static_cast<double>(streams));
-}
-
-void Fleet::publish_metrics() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& m : members_) stamp_member_gauges(*m);
-  stamp_topology_gauges();
+  devices_gauge_.set(static_cast<double>(active));
+  streams_gauge_.set(static_cast<double>(streams));
 }
 
 }  // namespace regla::fleet

@@ -20,14 +20,13 @@
 // simt/fault.h supplies the seeded per-launch hostility, kill() the
 // guaranteed one).
 //
-// Every device exports labeled obs instruments (device=<name>): queue-depth
-// / inflight gauges, batch/problem/reroute counters, circuit state, and the
-// fleet-wide fleet.devices / fleet.streams topology gauges.
-// publish_metrics() re-stamps the topology after an obs::reset_all(), the
-// same contract as ops::publish_metrics().
+// Every count lives only in an obs instrument resolved once under the
+// fleet's label, fleet=<k> (metric_labels()), or, per device and in
+// add_device, fleet=<k>,device=<name>. DeviceStats and FleetStats read them
+// back, so two fleets that both hold a "dev0" never mix their counts.
 //
-// Locking: one fleet mutex guards membership, stream free-lists, breaker
-// state, and stats; acquire() blocks on the fleet cv while every eligible
+// Locking: one fleet mutex guards membership, stream free-lists and breaker
+// state; acquire() blocks on the fleet cv while every eligible
 // device is busy and returns nullopt when none is eligible at all (all
 // drained/removed/excluded). The plan cache's own mutex nests inside the
 // fleet mutex (fleet -> cache, never the reverse).
@@ -47,6 +46,7 @@
 #include "common/clock.h"
 #include "cpu/thread_pool.h"
 #include "fleet/router.h"
+#include "obs/metrics.h"
 #include "planner/solver.h"
 
 namespace regla::fleet {
@@ -263,11 +263,9 @@ class Fleet {
   simt::DeviceConfig primary_config() const;
   std::shared_ptr<planner::Planner> planner() const { return planner_; }
 
-  /// Re-stamp the fleet topology gauges (fleet.devices, fleet.streams, and
-  /// per-device fleet.state / fleet.circuit_open / fleet.inflight /
-  /// fleet.queue_depth) after an obs::reset_all(), mirroring
-  /// ops::publish_metrics().
-  void publish_metrics() const;
+  /// The label ("fleet=<k>", k = process-wide construction ordinal) on this
+  /// fleet's obs instruments; per-device ones add ",device=<name>".
+  const std::string& metric_labels() const { return labels_; }
 
  private:
   struct Member;
@@ -279,18 +277,23 @@ class Fleet {
   Member& member_checked(int id);
   const Member& member_checked(int id) const;
   DeviceStats stats_of(const Member& m) const;  ///< requires mu_ held
-  void stamp_member_gauges(const Member& m) const;  ///< requires mu_ held
-  void stamp_topology_gauges() const;               ///< requires mu_ held
+  void set_topology_gauges();                   ///< requires mu_ held
 
   Options opt_;
   std::shared_ptr<planner::Planner> planner_;
   int host_threads_per_stream_ = 1;
 
+  /// The fleet-level instruments behind metric_labels(), resolved once.
+  std::string labels_;
+  obs::Counter& routed_;
+  obs::Counter& no_device_;
+  obs::Gauge& devices_gauge_;
+  obs::Gauge& streams_gauge_;
+
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
   std::vector<std::unique_ptr<Member>> members_;
   std::uint64_t route_stamp_ = 0;  ///< monotonic, for round-robin ties
-  FleetStats stats_;
 
   friend class Lease;
 };

@@ -15,11 +15,23 @@ namespace regla::obs {
 
 int Histogram::bucket_of(double v) {
   if (!(v > 1.0)) return 0;  // <= 1 and NaN land in bucket 0
-  const int i = static_cast<int>(std::lround(2.0 * std::log2(v)));
-  return std::clamp(i, 0, kBuckets - 1);
+  constexpr double kTop = static_cast<double>(std::uint64_t{1} << kOctaves);
+  if (v >= kTop) return kBuckets - 1;
+  // v = m * 2^o with m in [1, 2); both factors are exact, so an exact power
+  // of two lands on its own bucket's upper bound.
+  int e = 0;
+  const double m = 2.0 * std::frexp(v, &e);
+  const int o = e - 1;
+  return o * kSubBuckets +
+         static_cast<int>(std::ceil((m - 1.0) * kSubBuckets));
 }
 
-double Histogram::bucket_upper(int i) { return std::pow(2.0, i / 2.0); }
+double Histogram::bucket_upper(int i) {
+  if (i <= 0) return 1.0;
+  const int o = (i - 1) / kSubBuckets;
+  const int s = (i - 1) % kSubBuckets;
+  return std::ldexp(1.0 + static_cast<double>(s + 1) / kSubBuckets, o);
+}
 
 void Histogram::record(double v) {
   buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
@@ -41,6 +53,10 @@ double Histogram::mean() const {
 }
 
 double Histogram::percentile(double q) const {
+  const auto midpoint = [](int i) {
+    return i == 0 ? bucket_upper(0)
+                  : 0.5 * (bucket_upper(i - 1) + bucket_upper(i));
+  };
   q = std::clamp(q, 0.0, 1.0);
   const std::uint64_t total = count();
   if (total == 0) return 0;
@@ -48,14 +64,9 @@ double Histogram::percentile(double q) const {
   std::uint64_t seen = 0;
   for (int i = 0; i < kBuckets; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);
-    if (static_cast<double>(seen) > rank) return bucket_upper(i);
+    if (static_cast<double>(seen) > rank) return midpoint(i);
   }
-  return bucket_upper(kBuckets - 1);
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
+  return midpoint(kBuckets - 1);
 }
 
 // --- Registry ---------------------------------------------------------------
@@ -73,11 +84,12 @@ const char* to_string(Kind k) {
   return "?";
 }
 
+/// One registered instrument; only a histogram carries its bucket array.
 struct Instrument {
   Kind kind;
   Counter counter;
   Gauge gauge;
-  Histogram histogram;
+  std::unique_ptr<Histogram> histogram;
 };
 
 struct Registry {
@@ -112,6 +124,8 @@ Instrument& get_or_create(std::string_view name, std::string_view labels,
   if (it == r.by_key.end()) {
     it = r.by_key.emplace(key, std::make_unique<Instrument>()).first;
     it->second->kind = kind;
+    if (kind == Kind::histogram)
+      it->second->histogram = std::make_unique<Histogram>();
   }
   REGLA_CHECK_MSG(it->second->kind == kind,
                   "metric '" << key << "' is a " << to_string(it->second->kind)
@@ -130,7 +144,7 @@ Gauge& gauge(std::string_view name, std::string_view labels) {
 }
 
 Histogram& histogram(std::string_view name, std::string_view labels) {
-  return get_or_create(name, labels, Kind::histogram).histogram;
+  return *get_or_create(name, labels, Kind::histogram).histogram;
 }
 
 double gauge_value(std::string_view name, std::string_view labels) {
@@ -151,16 +165,6 @@ std::uint64_t counter_value(std::string_view name, std::string_view labels) {
   return it->second->counter.value();
 }
 
-void reset_all() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (auto& [key, instr] : r.by_key) {
-    instr->counter.reset();
-    instr->gauge.reset();
-    instr->histogram.reset();
-  }
-}
-
 void dump(std::ostream& os) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
@@ -173,7 +177,7 @@ void dump(std::ostream& os) {
         os << "gauge " << key << " " << instr->gauge.value() << "\n";
         break;
       case Kind::histogram: {
-        const Histogram& h = instr->histogram;
+        const Histogram& h = *instr->histogram;
         os << "histogram " << key << " count=" << h.count()
            << " mean=" << h.mean() << " p50=" << h.percentile(0.50)
            << " p99=" << h.percentile(0.99) << "\n";
@@ -196,7 +200,7 @@ void dump_csv(std::ostream& os) {
         os << "gauge," << key << ",value," << instr->gauge.value() << "\n";
         break;
       case Kind::histogram: {
-        const Histogram& h = instr->histogram;
+        const Histogram& h = *instr->histogram;
         os << "histogram," << key << ",count," << h.count() << "\n";
         os << "histogram," << key << ",mean," << h.mean() << "\n";
         os << "histogram," << key << ",p50," << h.percentile(0.50) << "\n";

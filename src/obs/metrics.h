@@ -3,17 +3,20 @@
 // counts, last-value gauges, and distributions:
 //
 //   obs::counter("engine.addr_truncations").add();
-//   obs::gauge("planner.cache_hits", "planner=0").set(hits);
+//   obs::gauge("fleet.inflight", "fleet=0,device=dev0").set(inflight);
 //   obs::histogram("runtime.latency_us", "runtime=0").record(us);
 //
 // Instruments are created on first lookup and live for the process lifetime
-// (references returned by counter()/gauge()/histogram() never dangle —
-// reset_all() zeroes values but never removes instruments). Lookup takes a
-// registry mutex; updates on an obtained reference are lock-free atomics, so
-// hot paths resolve their references once and keep them. An optional label
-// string distinguishes instruments sharing a name. The scoping rule: work an
-// instance owns carries its instance label (runtime=<k>, planner=<k>, the
-// construction ordinal); process-wide engine and ops events stay unlabelled.
+// (references returned by counter()/gauge()/histogram() never dangle; the
+// registry never removes or zeroes an instrument, so counts only go up and a
+// before/after delta is always valid). Lookup takes a registry mutex;
+// updates on an obtained reference are lock-free atomics. An optional label
+// string distinguishes instruments sharing a name. The scoping rule: every
+// instance that owns counts (Runtime, Fleet, Arena, Planner/PlanCache) has
+// one label, its construction ordinal (runtime=<k>, fleet=<k>, planner=<k>),
+// and one store: it resolves its instruments once, when it is built, and its
+// stats() reads them back. Process-wide engine and ops events stay
+// unlabelled.
 #pragma once
 
 #include <atomic>
@@ -30,13 +33,12 @@ class Counter {
     v_.fetch_add(delta, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Last-value instrument (plan-cache hit rate, model error, quantiles).
+/// Last-value instrument (device state, queue depth, bytes held).
 class Gauge {
  public:
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
@@ -47,29 +49,32 @@ class Gauge {
     }
   }
   double value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> v_{0};
 };
 
-/// Fixed-bucket log-spaced distribution: bucket i covers values up to
-/// 2^(i/2) (sqrt(2)-spaced, ~±19% quantile resolution), bucket 0 is
-/// everything <= 1. Unit-agnostic — callers pick one (microseconds,
-/// problems) and say so in the instrument name.
+/// Fixed-bucket log-linear distribution: every octave (2^o, 2^(o+1)] up to
+/// 2^32 is cut into kSubBuckets equal-width buckets, bucket 0 is everything
+/// <= 1, and values past 2^32 land in the last bucket. percentile() reports
+/// a bucket's midpoint, within 1/(2 kSubBuckets) = 3.1% of any sample in
+/// it. Unit-agnostic — callers pick one (microseconds, problems) and say so
+/// in the instrument name.
 class Histogram {
  public:
-  static constexpr int kBuckets = 64;
+  static constexpr int kSubBuckets = 16;
+  static constexpr int kOctaves = 32;
+  static constexpr int kBuckets = 1 + kOctaves * kSubBuckets;
 
   void record(double v);
   std::uint64_t count() const;
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   double mean() const;
-  /// Upper bound of the bucket holding quantile q (q clamped to [0, 1]);
-  /// 0 when the histogram is empty.
+  /// Midpoint of the bucket holding quantile q (q clamped to [0, 1]; bucket
+  /// 0 reports its bound, 1); 0 when the histogram is empty.
   double percentile(double q) const;
-  void reset();
 
+  /// Bucket i covers (bucket_upper(i - 1), bucket_upper(i)].
   static int bucket_of(double v);
   static double bucket_upper(int i);
 
@@ -93,11 +98,6 @@ double gauge_value(std::string_view name, std::string_view labels = {});
 /// code under test never touched.
 std::uint64_t counter_value(std::string_view name,
                             std::string_view labels = {});
-
-/// Zero every instrument's value (instruments themselves stay registered, so
-/// cached references remain valid) — including the instruments behind a live
-/// Runtime's stats().
-void reset_all();
 
 /// Human-readable exposition: one line per instrument, histograms with
 /// count/mean/p50/p99. Sorted by key.

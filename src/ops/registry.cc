@@ -46,8 +46,9 @@ std::string key_name(const Key& k) {
   return os.str();
 }
 
-// Introspection: one gauge per registered entry, so what's pluggable shows
-// up in the metrics surface (and /metrics-style dumps) without a lookup.
+// Introspection: one gauge per registered entry, set once when the entry
+// registers, so what's pluggable shows up in the metrics surface (and
+// /metrics-style dumps) without a lookup.
 void stamp_gauge(const Key& k) {
   obs::gauge("ops.registered",
              std::string("op=") + planner::to_string(k.op) +
@@ -109,15 +110,6 @@ std::vector<OpInfo> list() {
   for (const auto& [k, e] : t.entries)
     out.push_back(OpInfo{k.op, k.dtype, k.backend, e.flops != nullptr});
   return out;  // std::map iteration: already (op, dtype, backend)-sorted
-}
-
-void publish_metrics() {
-  Table& t = table();
-  std::lock_guard<std::mutex> lock(t.mu);
-  for (const auto& [k, e] : t.entries) {
-    (void)e;
-    stamp_gauge(k);
-  }
 }
 
 void validate(planner::Op op, const Call& call) {

@@ -122,12 +122,6 @@ bool registered(planner::Op op, planner::Dtype dtype, Backend backend);
 /// Every registered entry, sorted by (op, dtype, backend).
 std::vector<OpInfo> list();
 
-/// Re-stamp the `ops.registered` gauge for every entry. Registration stamps
-/// each gauge once at static-init time; obs::reset_all() zeroes instruments
-/// without removing them, so a metrics consumer that resets between scrapes
-/// calls this to restore the registry's view before reading.
-void publish_metrics();
-
 /// Shape/RHS preconditions for `op` against the call's batches, from the
 /// op's traits row (square_only, tall_only, rhs shape, c64 support).
 /// REGLA_CHECKs with a caller-facing message on violation.

@@ -4,7 +4,12 @@
 
 namespace regla::planner {
 
-PlanCache::PlanCache(std::size_t capacity) : capacity_(std::max<std::size_t>(1, capacity)) {}
+PlanCache::PlanCache(std::size_t capacity, std::string_view labels)
+    : capacity_(std::max<std::size_t>(1, capacity)),
+      hits_(obs::counter("planner.cache_hits", labels)),
+      misses_(obs::counter("planner.cache_misses", labels)),
+      inserts_(obs::counter("planner.cache_inserts", labels)),
+      evictions_(obs::counter("planner.cache_evictions", labels)) {}
 
 std::size_t PlanCache::KeyHash::operator()(const Key& k) const {
   std::uint64_t h = k.fingerprint;
@@ -46,11 +51,11 @@ std::optional<Plan> PlanCache::find(const Key& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
-    ++stats_.misses;
+    misses_.add();
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.hits;
+  hits_.add();
   Plan p = it->second->plan;
   p.from_cache = true;
   return p;
@@ -58,7 +63,7 @@ std::optional<Plan> PlanCache::find(const Key& key) {
 
 void PlanCache::insert(const Key& key, const Plan& plan) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.inserts;
+  inserts_.add();
   const auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->plan = plan;
@@ -74,7 +79,7 @@ void PlanCache::insert(const Key& key, const Plan& plan) {
     if (wit != warm_.end() && --wit->second <= 0) warm_.erase(wit);
     index_.erase(victim);
     lru_.pop_back();
-    ++stats_.evictions;
+    evictions_.add();
   }
 }
 
@@ -84,16 +89,8 @@ std::size_t PlanCache::size() const {
 }
 
 PlanCacheStats PlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-void PlanCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
-  index_.clear();
-  warm_.clear();
-  stats_ = PlanCacheStats{};
+  return PlanCacheStats{hits_.value(), misses_.value(), inserts_.value(),
+                        evictions_.value()};
 }
 
 }  // namespace regla::planner

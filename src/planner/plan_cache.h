@@ -4,16 +4,21 @@
 // Extracted from Planner so the serving runtime's worker streams can share
 // one planner (and therefore one cache) without caring about the planner's
 // other mutable state: every operation here takes the cache's own mutex, so
-// any number of threads may find/insert/clear concurrently. Lookups move the
-// entry to the LRU front; inserts past capacity evict from the back.
+// any number of threads may find/insert concurrently. Lookups move the entry
+// to the LRU front; inserts past capacity evict from the back.
+//
+// Its counts live only in planner.cache_* obs counters under its owner's
+// label, resolved once at construction; stats() reads them back.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 
+#include "obs/metrics.h"
 #include "planner/plan.h"
 
 namespace regla::planner {
@@ -40,7 +45,9 @@ class PlanCache {
     bool operator==(const Key&) const = default;
   };
 
-  explicit PlanCache(std::size_t capacity);
+  /// `labels` names the owner's obs counters (a Planner passes its
+  /// metric_labels()); caches sharing a label share their counts.
+  PlanCache(std::size_t capacity, std::string_view labels);
 
   /// The cached plan (marked from_cache) or nullopt; counts a hit or miss
   /// and refreshes the entry's LRU position.
@@ -60,9 +67,6 @@ class PlanCache {
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
   PlanCacheStats stats() const;
-
-  /// Drop every entry and reset the counters.
-  void clear();
 
  private:
   struct KeyHash {
@@ -93,7 +97,10 @@ class PlanCache {
   /// Reference-counted shape index over index_: how many cached plans cover
   /// each (op, m, n, dtype, fingerprint) — the warm() probe in O(1).
   std::unordered_map<WarmKey, int, WarmKeyHash> warm_;
-  PlanCacheStats stats_;
+  obs::Counter& hits_;
+  obs::Counter& misses_;
+  obs::Counter& inserts_;
+  obs::Counter& evictions_;
 };
 
 }  // namespace regla::planner

@@ -259,10 +259,7 @@ std::atomic<int> g_next_planner{0};
 
 Planner::Planner()
     : labels_("planner=" + std::to_string(g_next_planner++)),
-      cache_hits_(obs::gauge("planner.cache_hits", labels_)),
-      cache_misses_(obs::gauge("planner.cache_misses", labels_)),
-      plans_built_(obs::gauge("planner.plans_built", labels_)),
-      cache_(kPlanCacheCapacity) {}
+      cache_(kPlanCacheCapacity, labels_) {}
 
 std::uint64_t Planner::config_fingerprint(const regla::simt::DeviceConfig& cfg) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a
@@ -311,10 +308,7 @@ std::vector<Plan> Planner::candidates(const regla::simt::DeviceConfig& cfg,
 Plan Planner::plan(const regla::simt::DeviceConfig& cfg,
                    const ProblemDesc& desc) {
   const PlanCache::Key key{desc, config_fingerprint(cfg)};
-  if (std::optional<Plan> hit = cache_.find(key)) {
-    publish_gauges();
-    return *hit;
-  }
+  if (std::optional<Plan> hit = cache_.find(key)) return *hit;
   // Two threads racing on the same fresh signature both build; plans are
   // deterministic functions of (cfg, desc), so whichever insert lands last
   // overwrites with an identical value.
@@ -327,25 +321,12 @@ Plan Planner::plan(const regla::simt::DeviceConfig& cfg,
                                        << " (problems past one thread block "
                                           "support only QR/least-squares)");
   cache_.insert(key, cands.front());
-  publish_gauges();
   return cands.front();
 }
 
 PlannerStats Planner::stats() const {
   const PlanCacheStats c = cache_.stats();
   return PlannerStats{c.hits, c.misses, c.inserts, c.evictions};
-}
-
-void Planner::clear() {
-  cache_.clear();
-  publish_gauges();
-}
-
-void Planner::publish_gauges() const {
-  const PlannerStats s = stats();
-  cache_hits_.set(static_cast<double>(s.cache_hits));
-  cache_misses_.set(static_cast<double>(s.cache_misses));
-  plans_built_.set(static_cast<double>(s.plans_built));
 }
 
 }  // namespace regla::planner

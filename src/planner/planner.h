@@ -29,16 +29,15 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "planner/plan.h"
 #include "planner/plan_cache.h"
 #include "simt/device_config.h"
 
 namespace regla::planner {
 
-/// Cumulative planner health counters: a read of the plan cache's own
-/// counters (also published as "planner.*" obs gauges under the planner's
-/// own label, Planner::metric_labels()).
+/// Cumulative planner health counters: a read of the plan cache's obs
+/// counters, planner.cache_* under the planner's own label
+/// (Planner::metric_labels()).
 struct PlannerStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -71,11 +70,10 @@ class Planner {
                                const ProblemDesc& desc) const;
 
   PlannerStats stats() const;
-  void clear();  ///< drop the cache and reset counters
 
   /// The label ("planner=<k>", k = process-wide construction ordinal) on this
-  /// planner's obs gauges: planner.cache_hits, .cache_misses and
-  /// .plans_built.
+  /// planner's obs counters: planner.cache_hits, .cache_misses,
+  /// .cache_inserts and .cache_evictions.
   const std::string& metric_labels() const { return labels_; }
 
   /// The underlying memo (thread-safe; shared by every caller of plan()).
@@ -88,14 +86,7 @@ class Planner {
   static std::uint64_t config_fingerprint(const regla::simt::DeviceConfig& cfg);
 
  private:
-  void publish_gauges() const;
-
   std::string labels_;
-  /// The obs gauges behind metric_labels(), resolved once at construction.
-  obs::Gauge& cache_hits_;
-  obs::Gauge& cache_misses_;
-  obs::Gauge& plans_built_;
-
   PlanCache cache_;
 };
 

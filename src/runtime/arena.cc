@@ -7,6 +7,7 @@
 #include <map>
 #include <mutex>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -29,17 +30,21 @@ std::size_t round_up(std::size_t v, std::size_t align) {
 }  // namespace
 
 struct Arena::State {
-  mutable std::mutex mu;
-  Stats stats;
+  /// The owner's label; the instruments below are the arena's only store of
+  /// its counts, resolved once.
+  std::string labels;
+  obs::Counter& slab_allocs = obs::counter("runtime.payload_allocs", labels);
+  obs::Counter& leases = obs::counter("runtime.payload_leases", labels);
+  obs::Counter& reuses = obs::counter("runtime.payload_reuses", labels);
+  obs::Gauge& bytes_reserved =
+      obs::gauge("runtime.payload_bytes_reserved", labels);
+  obs::Gauge& bytes_leased = obs::gauge("runtime.payload_bytes_leased", labels);
+  /// Guards the slab list and the free lists.
+  std::mutex mu;
   /// Backing slabs, freed only when the last lease and the Arena are gone.
   std::vector<std::byte*> slabs;
   /// Free blocks per exact (rounded) size class.
   std::map<std::size_t, AddrHeap> free;
-  /// The obs instruments every lease reports to, resolved once: counter()
-  /// and gauge() take the registry mutex and hash the name.
-  obs::Counter& allocs = obs::counter("runtime.payload_allocs");
-  obs::Counter& reuses = obs::counter("runtime.payload_reuses");
-  obs::Gauge& bytes_reserved = obs::gauge("runtime.payload_bytes_reserved");
 
   ~State() {
     for (std::byte* s : slabs) std::free(s);
@@ -49,26 +54,25 @@ struct Arena::State {
 static_assert((Arena::kAlignment & (Arena::kAlignment - 1)) == 0 &&
               Arena::kMinSlabBytes >= Arena::kAlignment);
 
-Arena::Arena() : state_(std::make_shared<State>()) {}
+Arena::Arena(std::string_view labels)
+    : state_(std::make_shared<State>(std::string(labels))) {}
 
 Arena::Lease Arena::lease(std::size_t bytes) {
   State& st = *state_;
   const std::size_t sz =
       round_up(std::max<std::size_t>(bytes, 1), kAlignment);
   std::byte* p = nullptr;
-  bool fresh_slab = false;
-  std::uint64_t reserved = 0;
+  std::size_t slab_bytes = 0;  // nonzero when this lease grew a slab
   {
     std::lock_guard<std::mutex> lock(st.mu);
     AddrHeap& heap = st.free[sz];
     if (!heap.empty()) {
       p = reinterpret_cast<std::byte*>(heap.top());
       heap.pop();
-      ++st.stats.reuses;
     } else {
       const std::size_t blocks =
           std::max<std::size_t>(1, kMinSlabBytes / sz);
-      const std::size_t slab_bytes = blocks * sz;
+      slab_bytes = blocks * sz;
       // aligned_alloc needs the size to be a multiple of the alignment;
       // sz already is, so slab_bytes is too.
       std::byte* slab = static_cast<std::byte*>(
@@ -76,25 +80,21 @@ Arena::Lease Arena::lease(std::size_t bytes) {
       REGLA_CHECK_MSG(slab != nullptr, "arena slab allocation failed ("
                                            << slab_bytes << " bytes)");
       st.slabs.push_back(slab);
-      ++st.stats.slab_allocs;
-      st.stats.bytes_reserved += slab_bytes;
-      fresh_slab = true;
       // Carve: hand out the lowest block, free-list the rest (the heap
       // keeps them address-ordered on release too).
       for (std::size_t b = 1; b < blocks; ++b)
         heap.push(reinterpret_cast<std::uintptr_t>(slab + b * sz));
       p = slab;
     }
-    ++st.stats.leases;
-    st.stats.bytes_leased += sz;
-    reserved = st.stats.bytes_reserved;
   }
-  if (fresh_slab) {
-    st.allocs.add();
-    st.bytes_reserved.set(static_cast<double>(reserved));
+  st.leases.add();
+  if (slab_bytes > 0) {
+    st.slab_allocs.add();
+    st.bytes_reserved.add(static_cast<double>(slab_bytes));
   } else {
     st.reuses.add();
   }
+  st.bytes_leased.add(static_cast<double>(sz));
 
   Lease l;
   l.size_ = sz;
@@ -103,9 +103,11 @@ Arena::Lease Arena::lease(std::size_t bytes) {
   // free list.
   std::shared_ptr<State> state = state_;
   l.block_ = std::shared_ptr<std::byte>(p, [state, sz](std::byte* q) {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->free[sz].push(reinterpret_cast<std::uintptr_t>(q));
-    state->stats.bytes_leased -= sz;
+    {
+      std::lock_guard<std::mutex> lock(state->mu);
+      state->free[sz].push(reinterpret_cast<std::uintptr_t>(q));
+    }
+    state->bytes_leased.add(-static_cast<double>(sz));
   });
   return l;
 }
@@ -133,8 +135,10 @@ BatchC Arena::batch_c64(int count, int rows, int cols) {
 }
 
 Arena::Stats Arena::stats() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->stats;
+  const State& st = *state_;
+  return Stats{st.slab_allocs.value(), st.leases.value(), st.reuses.value(),
+               static_cast<std::uint64_t>(st.bytes_reserved.value()),
+               static_cast<std::uint64_t>(st.bytes_leased.value())};
 }
 
 }  // namespace regla::runtime

@@ -10,6 +10,10 @@
 //     slab only when the list is empty. Steady state never allocates: the
 //     obs counter "runtime.payload_allocs" counts slab mallocs and is the
 //     number the CI alloc-budget gate holds at ~0 per request.
+//   - The arena's counts live only in obs instruments under its owner's
+//     label (a Runtime passes its runtime=<k>): runtime.payload_allocs,
+//     .payload_leases and .payload_reuses count, .payload_bytes_reserved and
+//     .payload_bytes_leased are gauges. stats() reads them back.
 //   - Free lists are address-ordered (min-heaps): a lease reuses the lowest
 //     free block of its class, so live blocks stay packed at the front of
 //     the slabs and the touched footprint stays compact.
@@ -27,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 
 #include "common/matrix.h"
 
@@ -72,7 +77,9 @@ class Arena {
     std::size_t size_ = 0;
   };
 
-  Arena();
+  /// `labels` names the arena's obs instruments (its owner's instance
+  /// label); arenas sharing a label share their counts.
+  explicit Arena(std::string_view labels);
 
   /// Lease a block of at least `bytes` (rounded up to the alignment
   /// granularity; the free list is keyed on the rounded size, so equal-size

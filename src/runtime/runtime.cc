@@ -39,8 +39,6 @@ struct Runtime::Metrics {
   obs::Counter& deadline_exceeded =
       obs::counter("runtime.deadline_exceeded", labels);
   obs::Counter& fallback_cpu = obs::counter("runtime.fallback_cpu", labels);
-  obs::Counter& circuit_opens = obs::counter("runtime.circuit_opens", labels);
-  obs::Counter& reroutes = obs::counter("runtime.reroutes", labels);
   obs::Counter& no_device = obs::counter("runtime.no_device", labels);
   obs::Counter& payload_bytes_copied =
       obs::counter("runtime.payload_bytes_copied", labels);
@@ -79,7 +77,7 @@ Runtime::Runtime(Options opt)
   opt_.workers = std::max(1, opt_.workers);
   opt_.target_waves = std::max(1, opt_.target_waves);
   planner_ = std::make_shared<planner::Planner>();
-  arena_ = std::make_unique<Arena>();
+  arena_ = std::make_unique<Arena>(metrics_->labels);
 
   fleet::FleetOptions fopt = opt_;
   if (fopt.devices.empty()) {
@@ -231,9 +229,9 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
   REGLA_CHECK_MSG(static_cast<std::size_t>(k) <= opt_.max_queue_problems,
                   "submission larger than max_queue_problems");
   if (deadline.count() == 0) deadline = opt_.default_deadline;
+  const Clock::time_point submitted = Clock::now();
   const Clock::time_point abs_deadline =
-      deadline.count() > 0 ? Clock::now() + deadline
-                           : Clock::time_point::max();
+      deadline.count() > 0 ? submitted + deadline : Clock::time_point::max();
   std::vector<Batch> ready;
   std::future<Report> fut;
   {
@@ -301,7 +299,9 @@ std::future<Report> Runtime::enqueue(const Signature& sig, Payload payload,
     fut = pending.promise.get_future();
     q.pending.push_back(std::move(pending));
     q.pending_problems += k;
-    if (abs_deadline < q.min_deadline) q.min_deadline = abs_deadline;
+    if (deadline.count() > 0)
+      q.deadline_flush_at =
+          std::min(q.deadline_flush_at, submitted + deadline / 2);
     metrics_->requests.add();
     metrics_->problems.add(static_cast<std::uint64_t>(k));
 
@@ -352,15 +352,16 @@ Runtime::Batch Runtime::take_batch(Queue& q, FlushReason reason) {
 void Runtime::update_flush_at(Queue& q) {
   if (opt_.max_batch_delay.count() == 0) return;
   if (q.pending.empty()) {
-    q.min_deadline = Clock::time_point::max();
+    q.deadline_flush_at = Clock::time_point::max();
     q.flush_at = Clock::time_point::max();
     return;
   }
   // A request whose own deadline lands before the coalescing window closes
-  // pulls the flush forward — waiting the full max_batch_delay would hand
-  // it to the workers already expired.
+  // pulls the flush forward to halfway to that deadline: flushing at the
+  // deadline itself would hand it to the workers already expired, and the
+  // other half of its budget is left for the solve and delivery.
   q.flush_at = std::min(q.pending.front().enqueued + opt_.max_batch_delay,
-                        q.min_deadline);
+                        q.deadline_flush_at);
 }
 
 void Runtime::dispatcher_loop() {
@@ -535,7 +536,7 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Batch& batch,
       }
       // Retries exhausted here: advance this device's breaker, then try to
       // re-route the batch to a different fleet member before degrading.
-      if (fleet_->record_exhausted(lease)) metrics_->circuit_opens.add();
+      fleet_->record_exhausted(lease);
       const int failed_id = lease.device_id();
       if (failed_id >= 0 && failed_id < 64) exclude |= 1ull << failed_id;
       // Release the dead device's stream BEFORE re-acquiring: acquire blocks
@@ -550,7 +551,6 @@ SolveReport Runtime::solve_resilient(fleet::Lease& lease, const Batch& batch,
         lease = std::move(*next);
         outcome.device_id = lease.device_id();
         outcome.device = lease.device_name();
-        metrics_->reroutes.add();
         attempt = 0;  // a fresh device gets the full retry budget
         continue;
       }
@@ -1018,8 +1018,9 @@ RuntimeStats Runtime::stats() const {
   s.shed = m.shed.value();
   s.deadline_exceeded = m.deadline_exceeded.value();
   s.fallback_cpu = m.fallback_cpu.value();
-  s.circuit_opens = m.circuit_opens.value();
-  s.reroutes = m.reroutes.value();
+  const fleet::FleetStats f = fleet_->stats();
+  s.circuit_opens = f.circuit_opens;
+  s.reroutes = f.reroutes;
   s.no_device = m.no_device.value();
   s.device_seconds = m.device_seconds.value();
   s.payload_bytes_copied = m.payload_bytes_copied.value();
@@ -1027,8 +1028,6 @@ RuntimeStats Runtime::stats() const {
   s.ragged_batches = m.ragged_batches.value();
   s.p50_ms = m.latency_us.percentile(0.50) / 1e3;
   s.p99_ms = m.latency_us.percentile(0.99) / 1e3;
-  // The arena keeps its own (lock-free to read) accounting; fold it into
-  // the snapshot so callers see one coherent payload story.
   const Arena::Stats a = arena_->stats();
   s.payload_allocs = a.slab_allocs;
   s.payload_reuses = a.reuses;

@@ -134,10 +134,10 @@ struct SubmitOptions {
   /// Enforced end to end: a request past its deadline resolves with
   /// DeadlineExceeded — in the queue, before execution, or at delivery —
   /// never with a silently late Report.
-  /// Limit: a deadline shorter than RuntimeOptions::max_batch_delay becomes
-  /// the queue's flush time, so the queue is deadline-flushed exactly at the
-  /// deadline and the request resolves DeadlineExceeded unless a size flush
-  /// takes it first. No flush margin is kept ahead of the deadline.
+  /// A deadline shorter than twice RuntimeOptions::max_batch_delay pulls
+  /// the queue's flush forward to halfway between submit and deadline, so
+  /// the other half is left for the solve and delivery. A request whose
+  /// solve takes longer than that half still resolves DeadlineExceeded.
   std::chrono::microseconds deadline{0};
 };
 
@@ -206,8 +206,9 @@ struct RuntimeOptions : fleet::FleetOptions {
   bool ragged = false;
 };
 
-/// Cumulative counters: a read of the runtime's own obs instruments (plus
-/// the arena's books), so obs::reset_all() zeroes them too.
+/// Cumulative counters: a read of the obs instruments of the runtime, its
+/// arena (both labelled runtime=<k>) and its fleet (fleet=<k>). Counts only
+/// go up, so the difference of two snapshots is the work between them.
 struct RuntimeStats {
   std::uint64_t requests = 0;           ///< accepted submissions
   std::uint64_t problems = 0;           ///< accepted problems
@@ -256,7 +257,7 @@ struct RuntimeStats {
   std::uint64_t ragged_batches = 0;       ///< batches from ragged buckets
 
   /// Submit->resolve latency quantiles from the runtime.latency_us
-  /// histogram; resolution is one bucket (~±19%).
+  /// histogram; a bucket midpoint, within 3.1% of the exact quantile.
   double p50_ms = 0;
   double p99_ms = 0;
 
@@ -375,14 +376,14 @@ class Runtime {
     int pending_problems = 0;
     int target = 0;            ///< model-preferred flush size
     int space_waiters = 0;     ///< submitters blocked on backpressure
-    /// Earliest per-request deadline among pending (max() = none). Updated
-    /// incrementally on push and reset when the queue drains; after a
-    /// partial flush it may be stale-early, which only costs an early
-    /// deadline-reason flush, never a late one.
-    Clock::time_point min_deadline = Clock::time_point::max();
+    /// Earliest point halfway between a pending request's submit and its
+    /// deadline (max() = none). Updated incrementally on push and reset when
+    /// the queue drains; after a partial flush it may be stale-early, which
+    /// only costs an early deadline-reason flush, never a late one.
+    Clock::time_point deadline_flush_at = Clock::time_point::max();
     /// When the dispatcher deadline-flushes this queue: the earlier of the
-    /// oldest request's enqueued + max_batch_delay and min_deadline; max()
-    /// while the queue is empty.
+    /// oldest request's enqueued + max_batch_delay and deadline_flush_at;
+    /// max() while the queue is empty.
     Clock::time_point flush_at = Clock::time_point::max();
   };
   struct Batch {

@@ -38,9 +38,10 @@ using runtime::RuntimeOptions;
 using runtime::Signature;
 
 // --- Arena -----------------------------------------------------------------
+// Each standalone arena passes its own label, so its counts start at 0.
 
 TEST(Arena, SteadyStateLeasesWithoutAllocating) {
-  Arena arena;
+  Arena arena("arenatest=steady");
   const std::size_t bytes = 4096;
   {
     Arena::Lease warm = arena.lease(bytes);
@@ -61,7 +62,7 @@ TEST(Arena, SteadyStateLeasesWithoutAllocating) {
 }
 
 TEST(Arena, LeasesAreSegmentAligned) {
-  Arena arena;
+  Arena arena("arenatest=aligned");
   // 128-byte (DRAM segment) alignment on every block, so a leased payload
   // starts on a coalescing boundary.
   const std::size_t bytes = 1024;
@@ -74,7 +75,7 @@ TEST(Arena, LeasesAreSegmentAligned) {
 TEST(Arena, LeaseOutlivesArena) {
   Arena::Lease survivor;
   {
-    Arena arena;
+    Arena arena("arenatest=outlives");
     survivor = arena.lease(256);
     ASSERT_TRUE(survivor);
   }
@@ -86,7 +87,7 @@ TEST(Arena, LeaseOutlivesArena) {
 }
 
 TEST(Arena, BorrowedBatchKeepsBlockLeased) {
-  Arena arena;
+  Arena arena("arenatest=borrowed");
   float* base = nullptr;
   {
     BatchF b = arena.batch_f32(2, 4, 4);
@@ -114,7 +115,7 @@ TEST(Arena, BorrowedBatchKeepsBlockLeased) {
 }
 
 TEST(Arena, ConcurrentLeaseReleaseRaces) {
-  Arena arena;
+  Arena arena("arenatest=races");
   std::atomic<bool> start{false};
   std::vector<std::thread> threads;
   threads.reserve(4);

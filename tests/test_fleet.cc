@@ -115,7 +115,7 @@ TEST(FleetCache, WarmMatchesShapeAcrossBatchSizes) {
 }
 
 TEST(FleetCache, WarmSurvivesUntilLastBatchVariantEvicts) {
-  planner::PlanCache cache(2);
+  planner::PlanCache cache(2, "fleettest=warm");
   planner::PlanCache::Key k1, k2, k3;
   k1.desc = {Op::qr, 8, 8, 16, planner::Dtype::f32};
   k2.desc = {Op::qr, 8, 8, 32, planner::Dtype::f32};  // same shape, new batch
@@ -186,10 +186,15 @@ TEST(FleetUnit, DrainStopsRoutingRemoveDestroysStreams) {
     ASSERT_TRUE(l);
     EXPECT_EQ(l->device_id(), 1);
   }
+  EXPECT_EQ(obs::gauge_value("fleet.devices", f.metric_labels()), 1.0);
+  EXPECT_EQ(obs::gauge_value("fleet.streams", f.metric_labels()), 2.0);
   f.remove(0);
   EXPECT_EQ(f.device_stats(0).state, DeviceState::removed);
   EXPECT_EQ(f.device_stats(0).streams, 0);
   EXPECT_EQ(f.total_streams(), 1);
+  EXPECT_EQ(obs::gauge_value("fleet.streams", f.metric_labels()), 1.0);
+  EXPECT_EQ(obs::gauge_value("fleet.state", f.metric_labels() + ",device=a"),
+            static_cast<double>(DeviceState::removed));
   f.remove(1);
   EXPECT_FALSE(f.acquire(kDesc));
 }
@@ -203,6 +208,16 @@ TEST(FleetUnit, KillFlagsTheLease) {
   EXPECT_TRUE(l->killed());  // live leases see the kill immediately
   EXPECT_TRUE(f.device_stats(0).killed);
   EXPECT_FALSE(f.device_stats(1).killed);
+  // The topology gauges carry this fleet's own label.
+  const std::string& labels = f.metric_labels();
+  EXPECT_EQ(obs::gauge_value("fleet.devices", labels), 2.0);
+  EXPECT_EQ(obs::gauge_value("fleet.streams", labels), 2.0);
+  EXPECT_EQ(obs::gauge_value("fleet.killed", labels + ",device=a"), 1.0);
+  EXPECT_EQ(obs::gauge_value("fleet.killed", labels + ",device=b"), 0.0);
+  EXPECT_EQ(obs::gauge_value("fleet.circuit_open", labels + ",device=b"), 0.0);
+  EXPECT_EQ(obs::gauge_value("fleet.state", labels + ",device=b"),
+            static_cast<double>(DeviceState::active));
+  EXPECT_EQ(obs::gauge_value("fleet.inflight", labels + ",device=a"), 1.0);
 }
 
 TEST(FleetUnit, AddDeviceJoinsRouting) {
@@ -234,20 +249,60 @@ TEST(FleetUnit, ExhaustedEpisodesOpenAndSuccessCloses) {
   EXPECT_FALSE(f.device_stats(0).circuit_open);
 }
 
-// Satellite: fleet.* topology gauges must survive an obs reset via
-// publish_metrics(), mirroring the ops.registered contract.
-TEST(FleetMetrics, PublishMetricsRestampsTopology) {
-  fleet::Fleet f(two_device_options());
-  f.kill(1);
-  obs::reset_all();
-  EXPECT_EQ(obs::gauge_value("fleet.devices"), 0.0);
-  f.publish_metrics();
-  EXPECT_EQ(obs::gauge_value("fleet.devices"), 2.0);
-  EXPECT_EQ(obs::gauge_value("fleet.streams"), 2.0);
-  EXPECT_EQ(obs::gauge_value("fleet.circuit_open", "device=a"), 0.0);
-  EXPECT_EQ(obs::gauge_value("fleet.killed", "device=b"), 1.0);
-  EXPECT_EQ(obs::gauge_value("fleet.state", "device=a"),
-            static_cast<double>(DeviceState::active));
+// Two default Runtimes in one process each own a "dev0", a plan cache and
+// an arena. Every count each one reports, through stats() and through the obs
+// instruments under its own labels, is what that instance alone did.
+TEST(FleetMetrics, TwoDefaultRuntimesCountSeparately) {
+  RuntimeOptions opt;
+  opt.max_batch_delay = 0us;  // every request is its own batch
+  opt.host_threads_per_stream = 1;
+  Runtime a(opt), b(opt);
+  const auto drive = [](Runtime& rt, Op op, int requests, int problems) {
+    for (int i = 0; i < requests; ++i) {
+      BatchF m(problems, 8, 8);
+      fill_diag_dominant(m, 0x300 + i);
+      (void)rt.submit(op, std::move(m)).get();
+    }
+    rt.shutdown();  // batch counters land after the futures resolve
+  };
+  drive(a, Op::qr, 3, 2);
+  drive(b, Op::lu, 5, 1);
+  EXPECT_NE(a.fleet().metric_labels(), b.fleet().metric_labels());
+
+  struct Traffic {
+    Runtime& rt;
+    std::uint64_t requests, problems_each;
+  };
+  for (const Traffic& t : {Traffic{a, 3, 2}, Traffic{b, 5, 1}}) {
+    SCOPED_TRACE(t.rt.metric_labels());
+    const fleet::DeviceStats dev = t.rt.fleet().device_stats(0);
+    EXPECT_EQ(dev.name, "dev0");
+    EXPECT_EQ(dev.batches, t.requests);
+    EXPECT_EQ(dev.problems, t.requests * t.problems_each);
+    const std::string dev0 = t.rt.fleet().metric_labels() + ",device=dev0";
+    EXPECT_EQ(obs::counter_value("fleet.batches", dev0), t.requests);
+    EXPECT_EQ(obs::counter_value("fleet.problems", dev0),
+              t.requests * t.problems_each);
+
+    // One staging lease per batch (qr and lu take no rhs), all of one size
+    // class: one slab, every later lease a free-list hit.
+    const auto st = t.rt.stats();
+    EXPECT_EQ(st.payload_allocs, 1u);
+    EXPECT_EQ(st.payload_reuses, t.requests - 1);
+    const std::string& rt_labels = t.rt.metric_labels();
+    EXPECT_EQ(obs::counter_value("runtime.payload_allocs", rt_labels), 1u);
+    EXPECT_EQ(obs::counter_value("runtime.payload_reuses", rt_labels),
+              t.requests - 1);
+
+    // The first submit plans the queue's target batch and the first solve
+    // its own batch size: two misses, then every solve hits.
+    const auto ps = t.rt.planner()->stats();
+    EXPECT_EQ(ps.cache_misses, 2u);
+    EXPECT_EQ(ps.cache_hits, t.requests - 1);
+    EXPECT_EQ(obs::counter_value("planner.cache_hits",
+                                 t.rt.planner()->metric_labels()),
+              t.requests - 1);
+  }
 }
 
 // --- Runtime over the fleet (override-driven, no kernels) ------------------
@@ -392,6 +447,7 @@ TEST(FleetFault, RerouteLandsOnHealthyDeviceBeforeCpu) {
   EXPECT_EQ(st.fulfilled, 8u);
   EXPECT_EQ(st.failed_requests, 0u);
   EXPECT_GE(st.reroutes, 1u);      // at least the first batch moved over
+  EXPECT_EQ(st.reroutes, rt.fleet().stats().reroutes);  // one store
   EXPECT_EQ(st.fallback_cpu, 0u);  // device re-route preempted degradation
   EXPECT_GE(rt.fleet().device_stats(0).reroutes_away, 1u);
 }

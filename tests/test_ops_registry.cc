@@ -78,12 +78,9 @@ TEST(OpsRegistry, MissingBackendIsTypedError) {
   EXPECT_THROW(ops::run_cpu(Op::lu, call, pool), ops::UnregisteredOpError);
 }
 
-// Static registration published one introspection gauge per entry. Earlier
-// suites in the same process may have called obs::reset_all(), which zeroes
-// instruments in place — publish_metrics() restores the registry's view,
-// exactly as a metrics consumer that resets between scrapes would.
+// Static registration published one introspection gauge per entry; nothing
+// zeroes an instrument, so the gauges read 1 for the process lifetime.
 TEST(OpsRegistry, RegisteredGaugePerEntry) {
-  ops::publish_metrics();
   EXPECT_EQ(obs::gauge_value("ops.registered",
                              "op=cholesky,dtype=f32,backend=device"),
             1.0);
